@@ -248,7 +248,7 @@ def _cmd_compare(args):
     system_b, _, normed_b = _normalized(args_b)
     kind = RegionKind(args.kind)
     horizon = max(args.steps)
-    verdict = compare_ability(normed_a, normed_b, horizon, kind=kind, seed=args.seed)
+    verdict = compare_ability(normed_a, normed_b, horizon, kind=kind)
     print(f"comparing: {system_a.name} vs {system_b.name}")
     print(f"relation: {verdict.relation}")
     if verdict.stronger is not None:
@@ -378,7 +378,6 @@ def _build_parser():
     compare.add_argument(
         "--steps", type=_parse_steps, default=[10], help="horizon (largest used)"
     )
-    compare.add_argument("--seed", type=int, default=0)
     compare.set_defaults(func=_cmd_compare)
 
     mintime = sub.add_parser(

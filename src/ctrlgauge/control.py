@@ -7,12 +7,17 @@ leftover freedom at a fixed horizon is the affine dimension of the set of
 admissible input sequences; comparing two systems reduces to containment
 of their regions stage by stage.
 
-Geometric half-space tests locate the candidate horizon quickly; the
-authoritative accept/reject at each horizon is always the verified LP.
+Every geometric fact comes from the stage's H-form (zonotope.hform): the
+gauge max|D x|/c decides membership and gives the margin 1 - gauge and a
+separating row, and containment compares supports on the outer stage's
+normals. The LP runs only for witness inputs and strategy freedom, and
+for the gauge of stages whose normals are capped (n >= 4 past
+MAX_GENERATORS generators).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,20 +27,28 @@ from . import lp
 from .errors import (
     DimensionMismatch,
     Infeasible,
+    InternalError,
     NotMember,
     NotReachable,
     PreconditionNotMet,
     TooManyGenerators,
 )
-from .model import require_amplitude
 from .region import RegionKind, reach_region, recover_region, stage_generators
-from .zonotope import Zonotope, _rank, contains_point
+# contains_point is not called here; bench/tests looks it up as
+# control.contains_point, so the name stays importable
+from .zonotope import _rank, contains_point, hform  # noqa: F401
 
 BOUNDARY_TOL = 1e-7
 STRICT_TOL = 1e-9
+# membership slack on the gauge (and, off the span, on the distance
+# relative to max(1, |x|)); tighter than the LP's feasibility tolerance,
+# so the witness LP accepts every stage the gauge accepts
+GAUGE_TOL = 1e-10
+EPS = float(np.finfo(float).eps)
 DECISIVE_GAP = 1e-6
+# Not read by the library, which decides every horizon exactly; kept, with
+# compare_ability's seed keyword, because bench/workloads.py reads both.
 EXACT_GENERATOR_CAP = 16
-SAMPLED_DIRECTIONS = 10_000
 DEFAULT_MAX_STEPS = 50
 
 
@@ -57,6 +70,41 @@ def _check_state(sys, x0):
     if not np.isfinite(x).all():
         raise DimensionMismatch("state contains non-finite entries")
     return x
+
+
+def _stage_gauge(rows, x):
+    """Gauge max|D x|/c of x in the zonotope of rows, and a separating row.
+
+    Returns (gauge, direction). x lies in the region when the gauge is at
+    most 1: within GAUGE_TOL * max(1, |x|) of the span, and |D x| within
+    GAUGE_TOL * c plus the rounding bound of the products; the gauge is
+    then capped at 1, since rounding on a thin facet can push the ratio
+    past it. Otherwise the gauge exceeds 1 (infinite off the span) and
+    d . x > sum |d . g| for the returned unit direction d. Stages whose
+    normals are capped take the gauge from the max-margin LP, whose
+    separating direction may be None.
+    """
+    try:
+        hf = hform(rows)
+    except TooManyGenerators:
+        try:
+            return 1.0 - lp.max_margin(_box_lp(rows, x)).margin, None
+        except Infeasible as exc:
+            return math.inf, exc.certificate
+    off = hf.complement @ x
+    if off.size and np.abs(off).max() > GAUGE_TOL * max(1.0, np.abs(x).max()):
+        j = int(np.argmax(np.abs(off)))
+        return math.inf, np.sign(off[j]) * hf.complement[j]
+    dx = hf.normals @ x
+    if not dx.size:
+        return 0.0, None
+    rounding = rows.shape[0] * EPS * (np.abs(hf.normals) @ np.abs(x) + hf.supports)
+    slack = np.abs(dx) - hf.supports * (1.0 + GAUGE_TOL) - rounding
+    j = int(np.argmax(slack))
+    gauge = float(np.max(np.abs(dx) / hf.supports))
+    if slack[j] <= 0.0:
+        return min(gauge, 1.0), None
+    return gauge, np.sign(dx[j]) * hf.normals[j]
 
 
 @dataclass(frozen=True)
@@ -91,28 +139,19 @@ class ControlSolution:
         }
 
 
-def _quick_member(rows, x):
-    try:
-        return contains_point(Zonotope(rows), x)
-    except TooManyGenerators:
-        return None
-
-
 def _strategy_dim(rows, x):
     """Affine dimension of {u in box : rows^T u = x}.
 
-    With a uniform margin above tolerance the box is inactive, so the
-    dimension is that of the full solution space. Otherwise coordinates
-    whose LP range collapses are pinned and the rest contribute their
-    null-space dimension.
+    With a margin above tolerance the box is inactive, so the dimension
+    is that of the full solution space. Otherwise coordinates whose LP
+    range collapses are pinned and the rest contribute their null-space
+    dimension.
     """
-    box = _box_lp(rows, x)
-    res = lp.feasible(box)
-    if not res.feasible:
+    gauge, _ = _stage_gauge(rows, x)
+    if gauge > 1.0:
         raise NotMember("state is outside the region at this horizon")
-    mar = lp.max_margin(box)
     m = rows.shape[0]
-    if mar.margin > BOUNDARY_TOL:
+    if 1.0 - gauge > BOUNDARY_TOL:
         return m - _rank(rows)
     free = np.zeros(m, dtype=bool)
     for j in range(m):
@@ -126,15 +165,14 @@ def _strategy_dim(rows, x):
     return int(free.sum()) - _rank(rows[free])
 
 
-def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS, constraint=None):
+def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS):
     """Fewest steps to reach x0 from the origin (or recover, by kind).
 
-    Sweeps horizons with the geometric membership test, then confirms and
-    refines with LPs: the returned horizon is LP-feasible and the horizon
-    below it is LP-infeasible with the separating certificate stored.
-    Raises NotReachable past max_steps.
+    Sweeps horizons with the stage gauge; the first stage that contains
+    x0 is the answer, the horizon below it supplies the separating
+    certificate, and one LP there gives the witness inputs. Raises
+    NotReachable past max_steps.
     """
-    require_amplitude(constraint)
     x = _check_state(sys, x0)
     r = sys.r
     rows_all = stage_generators(sys, max_steps, kind)
@@ -148,70 +186,48 @@ def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS, constr
             margin=1.0,
             certificate=None,
         )
-    cand = None
+    # the zero-step region is the origin; x itself separates
+    certificate = x / float(np.linalg.norm(x))
     for steps in range(1, max_steps + 1):
-        rows = rows_all[: steps * r]
-        member = _quick_member(rows, x)
-        if member is None:
-            member = lp.feasible(_box_lp(rows, x)).feasible
-        if member:
-            cand = steps
+        gauge, direction = _stage_gauge(rows_all[: steps * r], x)
+        if gauge <= 1.0:
             break
-    if cand is None:
-        res = lp.feasible(_box_lp(rows_all, x))
-        if not res.feasible:
-            raise NotReachable(
-                f"state not reachable within {max_steps} steps",
-                certificate=res.certificate,
-                max_steps=max_steps,
-            )
-        cand = max_steps
-    res = lp.feasible(_box_lp(rows_all[: cand * r], x))
-    while not res.feasible:
-        cand += 1
-        if cand > max_steps:
-            raise NotReachable(
-                f"state not reachable within {max_steps} steps",
-                certificate=res.certificate,
-                max_steps=max_steps,
-            )
-        res = lp.feasible(_box_lp(rows_all[: cand * r], x))
-    certificate = None
-    while cand > 1:
-        below = lp.feasible(_box_lp(rows_all[: (cand - 1) * r], x))
-        if below.feasible:
-            cand -= 1
-            res = below
-        else:
-            certificate = below.certificate
-            break
-    if cand == 1 and certificate is None:
-        # the zero-step region is the origin; x itself separates
-        certificate = x / float(np.linalg.norm(x))
-    inputs = res.witness.reshape(cand, r)
+        certificate = direction
+    else:
+        raise NotReachable(
+            f"state not reachable within {max_steps} steps",
+            certificate=certificate,
+            max_steps=max_steps,
+        )
+    res = lp.feasible(_box_lp(rows_all[: steps * r], x))
+    if not res.feasible:
+        raise InternalError(
+            f"stage {steps} contains the state (gauge {gauge!r}) "
+            "but the witness LP finds no inputs"
+        )
+    inputs = res.witness.reshape(steps, r)
     if kind is RegionKind.REACH:
-        # generator block i acts at time cand-1-i
+        # generator block i acts at time steps-1-i
         inputs = inputs[::-1].copy()
     else:
         inputs = -inputs
-    mar = lp.max_margin(_box_lp(rows_all[: cand * r], x))
+    margin = 1.0 - gauge
     return ControlSolution(
-        min_steps=cand,
+        min_steps=steps,
         inputs=inputs,
         strategy_dim=_strategy_dim(rows_all, x),
         horizon=max_steps,
-        boundary="Boundary" if mar.margin <= BOUNDARY_TOL else "Interior",
-        margin=float(mar.margin),
+        boundary="Boundary" if margin <= BOUNDARY_TOL else "Interior",
+        margin=margin,
         certificate=certificate,
     )
 
 
-def strategy_space_dim(sys, x0, horizon, kind=RegionKind.REACH, constraint=None):
+def strategy_space_dim(sys, x0, horizon, kind=RegionKind.REACH):
     """Affine dimension of the admissible input sequences at a horizon.
 
     Raises NotMember when the state is outside the horizon's region.
     """
-    require_amplitude(constraint)
     x = _check_state(sys, x0)
     rows = stage_generators(sys, horizon, kind)
     return _strategy_dim(rows, x)
@@ -223,8 +239,9 @@ class AbilityVerdict:
 
     relation is Equal, StrictlyStronger, NotWeaker, or Incomparable;
     stronger names the dominating system for the one-sided relations.
-    exact is False when generator counts forced sampled support checks,
-    making the verdict probable rather than certified.
+    Containment is decided exactly on facet normals at every horizon, so
+    exact is always True. The certificate lists, per failing stage, the
+    deciding direction, its support gap and the inner vertex it exposes.
     """
 
     relation: str
@@ -245,73 +262,53 @@ class AbilityVerdict:
         }
 
 
-def _vertex_containment(fam_inner, fam_outer):
-    """Check stage-wise vertex membership; returns (min margin, failures)."""
-    worst = float("inf")
-    failures = []
+def _containment(fam_inner, fam_outer):
+    """Stage-wise containment on the outer stages' H-forms.
+
+    Z_inner lies in Z_outer exactly when no inner generator leaves the
+    outer span and h_inner <= h_outer on the outer normals, both within
+    STRICT_TOL * max(1, h_outer). Returns (margin, violations): the
+    margin is 1 - max h_inner/h_outer over all stages, or None when an
+    inner stage leaves the outer span; violations hold one entry per
+    failing stage.
+    """
+    worst = 0.0
+    off_span = False
+    violations = []
     for k in range(1, fam_inner.horizon + 1):
-        verts = fam_inner.stage(k).vertices()
-        rows_outer = fam_outer.stage(k).generators
-        for v in verts:
-            try:
-                mar = lp.max_margin(_box_lp(rows_outer, v))
-                worst = min(worst, mar.margin)
-            except Infeasible as exc:
-                d = exc.certificate
-                gap = None
-                if d is not None:
-                    gap = float(d @ v - np.abs(rows_outer @ d).sum())
-                failures.append(
-                    {
-                        "stage": k,
-                        "vertex": v.tolist(),
-                        "gap": gap,
-                        "direction": None if d is None else d.tolist(),
-                    }
-                )
-    return worst, failures
+        inner = fam_inner.stage(k).generators
+        hf = hform(fam_outer.stage(k).generators)
+        nc = hf.complement.shape[0]
+        dirs = np.vstack([hf.complement, hf.normals])
+        h_in = np.abs(dirs @ inner.T).sum(axis=1)
+        h_out = np.concatenate([np.zeros(nc), hf.supports])
+        worst = max(worst, float(np.max(h_in[nc:] / hf.supports, initial=0.0)))
+        excess = (h_in - h_out) / np.maximum(1.0, h_out)
+        j = int(np.argmax(excess))
+        if excess[j] <= STRICT_TOL:
+            continue
+        off_span = off_span or j < nc
+        d = dirs[j]
+        violations.append(
+            {
+                "stage": k,
+                "direction": d.tolist(),
+                "gap": float(h_in[j] - h_out[j]),
+                "vertex": (np.where(inner @ d >= 0.0, 1.0, -1.0) @ inner).tolist(),
+            }
+        )
+    return (None if off_span else 1.0 - worst), violations
 
 
-def _sampled_containment(fam_inner, fam_outer, dirs):
-    """Support-function comparison along sampled directions."""
-    worst_slack = float("inf")
-    failures = []
-    for k in range(1, fam_inner.horizon + 1):
-        hi = np.abs(dirs @ fam_inner.stage(k).generators.T).sum(axis=1)
-        ho = np.abs(dirs @ fam_outer.stage(k).generators.T).sum(axis=1)
-        slack = ho - hi
-        tol = STRICT_TOL * np.maximum(1.0, ho)
-        bad = slack < -tol
-        worst_slack = min(worst_slack, float(slack.min()))
-        if np.any(bad):
-            j = int(np.argmin(slack))
-            failures.append(
-                {
-                    "stage": k,
-                    "direction": dirs[j].tolist(),
-                    "gap": float(-slack[j]),
-                    "vertex": None,
-                }
-            )
-    return worst_slack, failures
-
-
-def compare_ability(
-    sys_a,
-    sys_b,
-    horizon,
-    kind=RegionKind.REACH,
-    constraint=None,
-    seed=0,
-):
+def compare_ability(sys_a, sys_b, horizon, kind=RegionKind.REACH, seed=0):
     """Compare the stage regions of two same-dimension systems.
 
-    Containment is decided by vertex membership LPs when every stage stays
-    within the exact generator cap, and by sampled support functions
-    otherwise (exact=False). The verdict names the stronger system; the
-    certificate carries the witnesses behind it.
+    Containment is exact at every horizon: supports on the outer stage's
+    facet normals, no LP. Stages with n >= 4 and more than MAX_GENERATORS
+    generators raise TooManyGenerators. The verdict names the stronger
+    system; the certificate carries the witnesses behind it. seed is
+    accepted and ignored (bench/workloads.py still passes it).
     """
-    require_amplitude(constraint)
     if sys_a.n != sys_b.n:
         raise DimensionMismatch(
             f"state dimensions differ: {sys_a.n} vs {sys_b.n}"
@@ -319,26 +316,15 @@ def compare_ability(
     builder = reach_region if kind is RegionKind.REACH else recover_region
     fam_a = builder(sys_a, horizon)
     fam_b = builder(sys_b, horizon)
-    exact = horizon * max(sys_a.r, sys_b.r) <= EXACT_GENERATOR_CAP
-    if exact:
-        margin_ab, fail_ab = _vertex_containment(fam_a, fam_b)
-        margin_ba, fail_ba = _vertex_containment(fam_b, fam_a)
-    else:
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((SAMPLED_DIRECTIONS, sys_a.n))
-        dirs = dirs[np.linalg.norm(dirs, axis=1) > 1e-12]
-        dirs /= np.linalg.norm(dirs, axis=1)[:, np.newaxis]
-        margin_ab, fail_ab = _sampled_containment(fam_a, fam_b, dirs)
-        margin_ba, fail_ba = _sampled_containment(fam_b, fam_a, dirs)
+    margin_ab, fail_ab = _containment(fam_a, fam_b)
+    margin_ba, fail_ba = _containment(fam_b, fam_a)
     a_in_b = not fail_ab
     b_in_a = not fail_ba
     if a_in_b and b_in_a:
         relation, stronger = "Equal", None
     elif a_in_b or b_in_a:
         fails = fail_ba if a_in_b else fail_ab
-        decisive = any(
-            f["gap"] is not None and f["gap"] > DECISIVE_GAP for f in fails
-        )
+        decisive = any(f["gap"] > DECISIVE_GAP for f in fails)
         relation = "StrictlyStronger" if decisive else "NotWeaker"
         stronger = sys_b.name if a_in_b else sys_a.name
     else:
@@ -346,8 +332,8 @@ def compare_ability(
     certificate = {
         "aInB": a_in_b,
         "bInA": b_in_a,
-        "minMarginAInB": None if margin_ab == float("inf") else float(margin_ab),
-        "minMarginBInA": None if margin_ba == float("inf") else float(margin_ba),
+        "minMarginAInB": margin_ab,
+        "minMarginBInA": margin_ba,
         "aViolations": fail_ab,
         "bViolations": fail_ba,
     }
@@ -359,7 +345,7 @@ def compare_ability(
         relation=relation,
         stronger=stronger,
         at_horizon=horizon,
-        exact=exact,
+        exact=True,
         certificate=certificate,
         metrics=metrics,
     )
@@ -405,15 +391,14 @@ def verify_theorem1(
     kind=RegionKind.REACH,
     samples=100,
     seed=0,
-    constraint=None,
 ):
     """Sample states from system A's region and compare both systems.
 
     Precondition: A's stage regions are contained in B's at every stage up
-    to the horizon (PreconditionNotMet otherwise). States are the final
-    stage's vertices topped up with random convex combinations of them.
+    to the horizon (PreconditionNotMet otherwise), decided as in
+    compare_ability. States are the final stage's vertices topped up with
+    random convex combinations of them.
     """
-    require_amplitude(constraint)
     if sys_a.n != sys_b.n:
         raise DimensionMismatch(
             f"state dimensions differ: {sys_a.n} vs {sys_b.n}"
@@ -421,14 +406,14 @@ def verify_theorem1(
     builder = reach_region if kind is RegionKind.REACH else recover_region
     fam_a = builder(sys_a, horizon)
     fam_b = builder(sys_b, horizon)
-    for k in range(1, horizon + 1):
-        rows_b = fam_b.stage(k).generators
-        for v in fam_a.stage(k).vertices():
-            if not lp.feasible(_box_lp(rows_b, v)).feasible:
-                raise PreconditionNotMet(
-                    f"stage {k} of {sys_a.name} is not contained in "
-                    f"{sys_b.name}; vertex {v.tolist()} is outside"
-                )
+    _, violations = _containment(fam_a, fam_b)
+    if violations:
+        v = violations[0]
+        raise PreconditionNotMet(
+            f"stage {v['stage']} of {sys_a.name} is not contained in "
+            f"{sys_b.name}; vertex {v['vertex']} is outside by {v['gap']:.3e} "
+            f"along {v['direction']}"
+        )
     verts = fam_a.stage(horizon).vertices()
     if verts.shape[0] >= samples:
         states = verts[:samples]

@@ -17,10 +17,6 @@ class MissingTarget(CtrlGaugeError):
     """Target-state bounds were requested but are not defined."""
 
 
-class UnsupportedConstraint(CtrlGaugeError):
-    """Input constraint kind is recognized but not implemented."""
-
-
 class SingularA(CtrlGaugeError):
     """The state matrix is singular; backward dynamics are undefined."""
 

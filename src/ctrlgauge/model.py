@@ -8,18 +8,12 @@ assume unit input boxes and dimensionless states.
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MissingTarget,
-    NonPositiveBound,
-    UnsupportedConstraint,
-)
+from .errors import DimensionMismatch, MissingTarget, NonPositiveBound
 
 # |det A| relative to the product of row norms below this flags A singular.
 SINGULARITY_TOL = 1e-12
@@ -104,34 +98,6 @@ class NormalizationSpec:
             if not np.isfinite(st).all() or np.any(st <= 0.0):
                 raise NonPositiveBound("state_target entries must be positive and finite")
             object.__setattr__(self, "state_target", st)
-
-
-class ConstraintKind(enum.Enum):
-    AMPLITUDE = "UnitAmplitude"
-    FUEL = "UnitTotalFuel"
-    ENERGY = "UnitTotalEnergy"
-
-
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Input constraint declaration. Only unit amplitude is implemented."""
-
-    kind: ConstraintKind = ConstraintKind.AMPLITUDE
-    bound: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.bound) or self.bound <= 0.0:
-            raise NonPositiveBound("constraint bound must be positive and finite")
-
-
-def require_amplitude(constraint):
-    """Reject constraint kinds other than unit amplitude."""
-    if constraint is None:
-        return
-    if constraint.kind is not ConstraintKind.AMPLITUDE:
-        raise UnsupportedConstraint(
-            f"constraint kind {constraint.kind.value} is not implemented"
-        )
 
 
 @dataclass(frozen=True)

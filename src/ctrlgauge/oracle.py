@@ -13,6 +13,7 @@ internals and of chunk sizes.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -109,15 +110,23 @@ def _sign_sums(gens):
 
 
 def _lexsorted_unique(pts, tol=1e-9):
+    """Lexsort the rows and drop each row within tol (max-norm) of a kept one.
+
+    Kept rows stay sorted by their first coordinate, so a bisection finds
+    the only ones that can lie within tol of the next row; the window is
+    widened to 2 tol so that rounding in the bound never hides a match.
+    """
     pts = np.atleast_2d(pts)
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    kept = [pts[0]]
-    for p in pts[1:]:
-        arr = np.asarray(kept)
-        if np.min(np.max(np.abs(arr - p), axis=1)) > tol:
-            kept.append(p)
-    return np.asarray(kept)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    kept = [0]
+    lead = [pts[0, 0]]
+    for i in range(1, pts.shape[0]):
+        p = pts[i]
+        window = pts[kept[bisect.bisect_left(lead, p[0] - 2.0 * tol) :]]
+        if window.shape[0] == 0 or np.min(np.max(np.abs(window - p), axis=1)) > tol:
+            kept.append(i)
+            lead.append(p[0])
+    return pts[kept]
 
 
 def _hull2d_indices(pts):

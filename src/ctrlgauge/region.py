@@ -21,7 +21,7 @@ from .errors import (
     TooManyGenerators,
     UnstableGrowth,
 )
-from .model import require_amplitude, validate
+from .model import validate
 from .zonotope import Zonotope, _rank
 
 GROWTH_LIMIT = 1e12
@@ -85,22 +85,21 @@ def stage_generators(sys, horizon, kind):
     return np.vstack(blocks)
 
 
-def _build_family(sys, horizon, kind, constraint):
-    require_amplitude(constraint)
+def _build_family(sys, horizon, kind):
     rows = stage_generators(sys, horizon, kind)
     r = sys.r
     stages = tuple(Zonotope(rows[: k * r]) for k in range(1, horizon + 1))
     return RegionFamily(system=sys, kind=kind, horizon=horizon, stages=stages)
 
 
-def reach_region(sys, horizon, constraint=None):
+def reach_region(sys, horizon):
     """Nested reach regions R(1) .. R(horizon) from the origin."""
-    return _build_family(sys, horizon, RegionKind.REACH, constraint)
+    return _build_family(sys, horizon, RegionKind.REACH)
 
 
-def recover_region(sys, horizon, constraint=None):
+def recover_region(sys, horizon):
     """Nested recover-to-origin regions; requires invertible A."""
-    return _build_family(sys, horizon, RegionKind.RECOVER, constraint)
+    return _build_family(sys, horizon, RegionKind.RECOVER)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ Vertex enumeration never walks all 2^m sign patterns on the main path:
 * n >= 4: full sign enumeration with a convex-hull filter, capped at
   MAX_GENERATORS generators.
 
+Membership, gauges and containment all read one rank-aware H-form
+(hform): the complement of the generators' span, unit facet normals in
+it, and their supports.
+
 Near-ties below 1e-12 (relative) are treated as exact ties and expanded on
 both sides; inputs engineered with angle gaps between 1e-12 and 1e-9 are
 outside the supported precision envelope.
@@ -25,7 +29,9 @@ outside the supported precision envelope.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +49,9 @@ DEDUP_TOL = 1e-9
 RANK_TOL = 1e-9
 TIE_TOL = 1e-12
 MAX_GENERATORS = 20
+# subsets Zonotope.volume sums at most; a 50-step stage in R^3 has 19 600
+MAX_VOLUME_SUBSETS = 2_000_000
+VOLUME_CHUNK_BYTES = 1 << 20
 
 
 class Zonotope:
@@ -93,13 +102,29 @@ class Zonotope:
         return _vertices(self.generators)
 
     def volume(self):
-        """Exact volume 2^n * sum over n-subsets of |det|; 0 when flat."""
+        """Exact volume 2^n * sum over n-subsets of |det|; 0 when flat.
+
+        Raises TooManyGenerators past MAX_VOLUME_SUBSETS subsets, checked
+        before any subset is built; the determinants are summed in chunks
+        of about VOLUME_CHUNK_BYTES.
+        """
         m, n = self.m, self.n
         if m < n or _rank(self.generators) < n:
             return 0.0
-        subsets = np.array(list(itertools.combinations(range(m), n)))
-        mats = self.generators[subsets]
-        return float(2.0**n * np.abs(np.linalg.det(mats)).sum())
+        count = math.comb(m, n)
+        if count > MAX_VOLUME_SUBSETS:
+            raise TooManyGenerators(
+                f"{count} generator subsets exceed the volume cap {MAX_VOLUME_SUBSETS}"
+            )
+        chunk = max(1, VOLUME_CHUNK_BYTES // (8 * n * n))
+        subsets = itertools.combinations(range(m), n)
+        total = 0.0
+        for start in range(0, count, chunk):
+            take = min(chunk, count - start)
+            flat = itertools.chain.from_iterable(itertools.islice(subsets, take))
+            idx = np.fromiter(flat, dtype=np.intp, count=take * n).reshape(take, n)
+            total += float(np.abs(np.linalg.det(self.generators[idx])).sum())
+        return 2.0**n * total
 
     def project_2d(self, axes):
         """Project onto two coordinate axes and build the polygon outline.
@@ -239,15 +264,18 @@ def _dedup_rows(pts, tol=DEDUP_TOL):
     pts = np.asarray(pts, dtype=float)
     if pts.shape[0] == 0:
         return pts
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    kept = [pts[0]]
-    arr = pts[0][np.newaxis, :]
-    for p in pts[1:]:
-        if np.min(np.max(np.abs(arr - p), axis=1)) > tol:
-            kept.append(p)
-            arr = np.asarray(kept)
-    return np.asarray(kept)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    # kept rows stay lexsorted, so only those whose first coordinate lies
+    # within tol of p can match it; the 2 tol window absorbs rounding
+    kept = [0]
+    firsts = [pts[0, 0]]
+    for i in range(1, pts.shape[0]):
+        p = pts[i]
+        near = pts[kept[bisect.bisect_left(firsts, p[0] - 2.0 * tol) :]]
+        if near.shape[0] == 0 or np.min(np.max(np.abs(near - p), axis=1)) > tol:
+            kept.append(i)
+            firsts.append(p[0])
+    return pts[kept]
 
 
 def _canonical_flip(pgens):
@@ -395,6 +423,43 @@ def _vertices(G):
 # --- H-representation and membership -----------------------------------------
 
 
+@dataclass(frozen=True)
+class HForm:
+    """Rank-aware H-form Z = {x : C x = 0, |D x| <= c}.
+
+    complement (C) holds orthonormal rows spanning the complement of the
+    generators' span; normals (D) are unit rows inside the span, one per
+    facet direction there (extra non-facet rows are harmless), and
+    supports (c) are their support values sum_k |D g_k|.
+    """
+
+    complement: np.ndarray
+    normals: np.ndarray
+    supports: np.ndarray
+
+
+def hform(gens):
+    """H-form of the zonotope generated by the rows of gens.
+
+    Facet normals are computed in the generators' span and lifted back,
+    so flat zonotopes keep exact facets there. The span keeps every
+    singular direction above rounding level (TIE_TOL, not RANK_TOL), so a
+    thin but solid zonotope is not flattened. Raises TooManyGenerators
+    when the span has dimension 4 or more and there are more than
+    MAX_GENERATORS nonzero generators.
+    """
+    gens = np.asarray(gens, dtype=float)
+    n = gens.shape[1]
+    scale = max(1.0, float(np.abs(gens).max(initial=0.0)))
+    gens = gens[np.linalg.norm(gens, axis=1) > TIE_TOL * scale]
+    _, s, vt = np.linalg.svd(gens, full_matrices=True)
+    rank = int(np.sum(s > TIE_TOL * max(1.0, float(s.max(initial=0.0)))))
+    basis = vt[:rank]
+    normals = _facet_normals(gens @ basis.T) @ basis if rank else np.zeros((0, n))
+    supports = np.abs(normals @ gens.T).sum(axis=1)
+    return HForm(vt[rank:], normals, supports)
+
+
 def _facet_normals(gens):
     """Unit normals covering every facet direction of a full-rank zonotope.
 
@@ -411,81 +476,49 @@ def _facet_normals(gens):
         cand = np.stack([-gens[:, 1], gens[:, 0]], axis=1)
         return cand / norms[:, np.newaxis]
     if n == 3:
-        out = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = np.cross(gens[i], gens[j])
-                nd = float(np.linalg.norm(d))
-                if nd > TIE_TOL * norms[i] * norms[j]:
-                    out.append(d / nd)
-        return np.asarray(out)
+        i, j = np.triu_indices(m, 1)
+        d = np.cross(gens[i], gens[j])
+        nd = np.linalg.norm(d, axis=1)
+        keep = nd > TIE_TOL * norms[i] * norms[j]
+        return d[keep] / nd[keep, np.newaxis]
     if m > MAX_GENERATORS:
         raise TooManyGenerators(
             f"{m} generators exceed the H-representation cap {MAX_GENERATORS}"
         )
-    out = []
-    for subset in itertools.combinations(range(m), n - 1):
-        sub = gens[list(subset)]
-        s = np.linalg.svd(sub, compute_uv=False)
-        if s[0] <= 0.0 or s[-1] <= RANK_TOL * s[0]:
-            continue
-        _, _, vt = np.linalg.svd(sub, full_matrices=True)
-        out.append(vt[-1])
-    if not out:
+    subsets = np.array(list(itertools.combinations(range(m), n - 1)))
+    _, s, vt = np.linalg.svd(gens[subsets], full_matrices=True)
+    keep = (s[:, 0] > 0.0) & (s[:, -1] > TIE_TOL * s[:, 0])
+    if not keep.any():
         raise DegenerateZonotope("no facet normals found")
-    return np.asarray(out)
+    return vt[keep, -1]
 
 
 def halfspace_representation(z):
     """Exact H-form (unit normals D, offsets c): Z = {x : |D x| <= c}.
 
     Requires generators spanning R^n; flat zonotopes raise
-    DegenerateZonotope (use contains_point for the rank-aware test).
+    DegenerateZonotope (use hform or contains_point for those).
     """
-    gens = z.generators
-    scale = max(1.0, float(np.abs(gens).max()))
-    gens = gens[np.linalg.norm(gens, axis=1) > TIE_TOL * scale]
-    if gens.shape[0] == 0 or _rank(gens) < z.n:
+    hf = hform(z.generators)
+    if hf.complement.shape[0]:
         raise DegenerateZonotope("generators do not span the space")
-    normals = _facet_normals(gens)
-    offsets = np.abs(normals @ gens.T).sum(axis=1)
-    return normals, offsets
+    return hf.normals, hf.supports
 
 
 def contains_point(z, point, tol=DEDUP_TOL):
     """Membership test via the support inequalities; tol is a distance.
 
-    Rank-deficient zonotopes are handled by projecting onto the row space
-    after rejecting points that sit farther than tol from it.
+    Points farther than tol from the generators' span are outside.
     """
     x = np.asarray(point, dtype=float).ravel()
     if x.size != z.n:
         raise DimensionMismatch(f"point must have length {z.n}")
     if not np.isfinite(x).all():
         raise DimensionMismatch("point contains non-finite entries")
-    return _contains(z.generators, x, tol)
-
-
-def _contains(gens, x, tol):
-    n = gens.shape[1]
-    scale = max(1.0, float(np.abs(gens).max(initial=0.0)))
-    gens = gens[np.linalg.norm(gens, axis=1) > TIE_TOL * scale]
-    if gens.shape[0] == 0:
-        return bool(np.abs(x).max(initial=0.0) <= tol)
-    rank = _rank(gens)
-    if rank < n:
-        _, _, vt = np.linalg.svd(gens, full_matrices=False)
-        basis = vt[:rank]
-        coords = basis @ x
-        resid = x - basis.T @ coords
-        if np.abs(resid).max() > tol:
-            return False
-        return _contains(gens @ basis.T, coords, tol)
-    if n == 1:
-        return bool(abs(float(x[0])) <= float(np.abs(gens).sum()) + tol)
-    normals = _facet_normals(gens)
-    offsets = np.abs(normals @ gens.T).sum(axis=1)
-    return bool(np.all(np.abs(normals @ x) <= offsets + tol))
+    hf = hform(z.generators)
+    if np.linalg.norm(hf.complement @ x) > tol:
+        return False
+    return bool(np.all(np.abs(hf.normals @ x) <= hf.supports + tol))
 
 
 # --- polygon exports ---------------------------------------------------------

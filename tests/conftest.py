@@ -46,6 +46,27 @@ def assert_vertex_sets_match(got, expected, tol=1e-9):
     assert dist <= tol, f"vertex sets differ by {dist:.3e}"
 
 
+def quadratic_dedup(pts, tol=1e-9):
+    """Lexsort, then merge rows within tol (max-norm) of any kept row."""
+    pts = pts[np.lexsort(pts.T[::-1])]
+    kept = [pts[0]]
+    for p in pts[1:]:
+        if np.min(np.max(np.abs(np.asarray(kept) - p), axis=1)) > tol:
+            kept.append(p)
+    return np.asarray(kept)
+
+
+def near_duplicate_cloud(rng, m, n):
+    """All 2^m sign sums, repeated with jitter below, near and above 1e-9."""
+    gens = rng.uniform(-1, 1, size=(m, n))
+    bits = np.arange(1 << m)
+    signs = ((bits[:, np.newaxis] >> np.arange(m)) & 1) * 2.0 - 1.0
+    cloud = signs @ gens
+    near = cloud + rng.uniform(-4e-10, 4e-10, size=cloud.shape)
+    edge = cloud + rng.uniform(-1.5e-9, 1.5e-9, size=cloud.shape)
+    return np.vstack([cloud, near, edge, np.round(cloud, 9)])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -5,21 +5,42 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_system
+from conftest import AC_MODEL, DC_MODEL, make_system
 from ctrlgauge import (
+    BoxLp,
     LdtSystem,
     NotMember,
     NotReachable,
     PreconditionNotMet,
     RegionKind,
+    TooManyGenerators,
+    Zonotope,
+    brute_vertices,
     compare_ability,
+    load_model,
+    lp_feasible,
     min_time,
+    normalize_full,
     reach_region,
     simulate,
+    stage_generators,
     strategy_space_dim,
     verify_theorem1,
 )
+from ctrlgauge.control import GAUGE_TOL, _stage_gauge
+from ctrlgauge.zonotope import hform
 from polytope_enum import affine_dim
+
+
+def _brute_contained(fam_inner, fam_outer):
+    for k in range(1, fam_inner.horizon + 1):
+        rows = fam_outer.stage(k).generators
+        m = rows.shape[0]
+        for v in brute_vertices(fam_inner.stage(k)):
+            box = BoxLp(G=rows.T, x0=v, lower=-np.ones(m), upper=np.ones(m))
+            if not lp_feasible(box).feasible:
+                return False
+    return True
 
 
 def _scalar():
@@ -110,6 +131,61 @@ class TestMinTimeRoundTrip:
             assert float(d @ x0) > below.support(d) - 1e-9
 
 
+class TestMinTimeLpFallback:
+    # n = 4 with 3 inputs: stages 7 and 8 have 21 and 24 generators, past
+    # the facet-normal cap, so their gauge comes from the max-margin LP
+    def _system(self):
+        rng = np.random.default_rng(5)
+        A = rng.uniform(-0.6, 0.6, size=(4, 4))
+        B = rng.uniform(-1.0, 1.0, size=(4, 3))
+        return LdtSystem(name="n4r3", A=A, B=B), rng
+
+    def test_capped_stage_witness_and_certificate(self):
+        sys_, rng = self._system()
+        rows = stage_generators(sys_, 8, RegionKind.REACH)
+        with pytest.raises(TooManyGenerators):
+            hform(rows[:21])
+        # the vertex a generic direction exposes needs all eight steps
+        d = rng.standard_normal(4)
+        x0 = np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows
+        sol = min_time(sys_, x0, max_steps=8)
+        assert sol.min_steps == 8
+        assert sol.boundary == "Boundary"
+        traj = simulate(sys_, np.zeros(4), sol.inputs)
+        assert np.allclose(traj[-1], x0, atol=1e-7)
+        assert np.abs(sol.inputs).max() <= 1.0 + 1e-7
+        cert = np.asarray(sol.certificate)
+        below = Zonotope(rows[:21])
+        assert float(cert @ x0) > below.support(cert) + 1e-9
+
+    def test_capped_stage_unreachable(self):
+        sys_, rng = self._system()
+        rows = stage_generators(sys_, 8, RegionKind.REACH)
+        d = rng.standard_normal(4)
+        x0 = 1.1 * (np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows)
+        with pytest.raises(NotReachable):
+            min_time(sys_, x0, max_steps=8)
+
+
+class TestStageGauge:
+    def test_thin_stage_keeps_its_vertices(self):
+        # the dc motor's 80-step recover stage is 1e-8 thin; rounding puts
+        # some of its vertices past gauge 1 + GAUGE_TOL
+        dc, dc_spec = load_model(DC_MODEL)
+        rows = stage_generators(normalize_full(dc, dc_spec), 80, RegionKind.RECOVER)
+        hf = hform(rows)
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(40):
+            x = np.where(rows @ rng.standard_normal(3) >= 0.0, 1.0, -1.0) @ rows
+            worst = max(worst, float(np.max(np.abs(hf.normals @ x) / hf.supports)))
+            assert _stage_gauge(rows, x)[0] <= 1.0
+            gauge, d = _stage_gauge(rows, 1.001 * x)
+            assert gauge > 1.0
+            assert float(d @ (1.001 * x)) > np.abs(rows @ d).sum()
+        assert worst > 1.0 + GAUGE_TOL
+
+
 class TestStrategySpaceDim:
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(12):
@@ -170,13 +246,94 @@ class TestCompareAbility:
         assert verdict.relation == "NotWeaker"
         assert verdict.stronger == "b"
 
-    def test_sampled_route_on_long_horizon(self, rng):
+    def test_long_horizon_is_exact(self, rng):
         sys_a = make_system(rng, 2, name="small", scale=0.6)
         sys_b = LdtSystem(name="big", A=sys_a.A, B=2.0 * sys_a.B)
         verdict = compare_ability(sys_a, sys_b, 17)
-        assert not verdict.exact
+        assert verdict.exact
         assert verdict.relation == "StrictlyStronger"
         assert verdict.stronger == "big"
+
+    def test_motor_recover_long_horizon_not_contained(self):
+        # a dc stage vertex pokes out of the elongated ac region here, along
+        # a direction few random directions come near
+        dc, dc_spec = load_model(DC_MODEL)
+        ac, ac_spec = load_model(AC_MODEL)
+        a = normalize_full(dc, dc_spec, use_target=True)
+        b = normalize_full(ac, ac_spec, use_target=True)
+        verdict = compare_ability(a, b, 20, kind=RegionKind.RECOVER)
+        assert verdict.exact
+        assert verdict.relation != "StrictlyStronger"
+        cert = verdict.certificate
+        assert not cert["aInB"]
+        rows_a = stage_generators(a, 20, RegionKind.RECOVER)
+        rows_b = stage_generators(b, 20, RegionKind.RECOVER)
+        for v in cert["aViolations"]:
+            k = v["stage"]
+            d = np.asarray(v["direction"])
+            h_a = np.abs(rows_a[:k] @ d).sum()
+            h_b = np.abs(rows_b[:k] @ d).sum()
+            assert h_a - h_b > 0.0
+            assert v["gap"] == pytest.approx(h_a - h_b, rel=1e-9)
+            assert float(d @ np.asarray(v["vertex"])) == pytest.approx(h_a, rel=1e-12)
+        assert [v["stage"] for v in cert["aViolations"]] == sorted(
+            {v["stage"] for v in cert["aViolations"]}
+        )
+
+    def test_margins_and_off_span_violations(self):
+        A = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.2, 0.0, 0.5]])
+        B = np.array([[0.0], [0.0], [1.0]])
+        a = LdtSystem(name="a", A=A, B=B)
+        b = LdtSystem(name="b", A=A, B=2.0 * B)
+        verdict = compare_ability(a, b, 4)
+        cert = verdict.certificate
+        # Z_a = Z_b / 2 at every stage: all ratios h_a / h_b are 1/2
+        assert cert["minMarginAInB"] == pytest.approx(0.5, rel=1e-12)
+        assert cert["minMarginBInA"] == pytest.approx(-1.0, rel=1e-12)
+        assert [v["stage"] for v in cert["bViolations"]] == [1, 2, 3, 4]
+        tilted = LdtSystem(name="t", A=A, B=np.array([[0.1], [0.0], [1.0]]))
+        verdict = compare_ability(a, tilted, 4)
+        # stage 1 of a is a segment off the segment of stage 1 of t
+        assert verdict.certificate["minMarginAInB"] is None
+        assert verdict.certificate["aViolations"][0]["stage"] == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_containment_matches_brute_reference(self, n):
+        # every brute-force vertex of the inner stage must be LP-feasible in
+        # the outer stage exactly when compare_ability reports containment
+        rng = np.random.default_rng(100 + n)
+        for r in (1, 2):
+            for horizon in range(1, 5):
+                base = make_system(rng, n, r=r, name="a", scale=0.8)
+                others = (
+                    LdtSystem(name="b", A=base.A, B=1.5 * base.B),
+                    LdtSystem(name="b", A=base.A, B=0.7 * base.B),
+                    LdtSystem(name="b", A=base.A, B=base.B.copy()),
+                    LdtSystem(
+                        name="b",
+                        A=base.A,
+                        B=1.3 * base.B + 0.05 * rng.uniform(-1, 1, base.B.shape),
+                    ),
+                    make_system(rng, n, r=r, name="b", scale=0.8),
+                )
+                for other in others:
+                    verdict = compare_ability(base, other, horizon)
+                    fam_a = reach_region(base, horizon)
+                    fam_b = reach_region(other, horizon)
+                    tag = f"n={n} r={r} N={horizon}"
+                    assert verdict.certificate["aInB"] == _brute_contained(
+                        fam_a, fam_b
+                    ), tag
+                    assert verdict.certificate["bInA"] == _brute_contained(
+                        fam_b, fam_a
+                    ), tag
+
+    def test_capped_normals_raise(self):
+        rng = np.random.default_rng(9)
+        a = make_system(rng, 4, r=3, name="a", scale=0.6)
+        b = LdtSystem(name="b", A=a.A, B=2.0 * a.B)
+        with pytest.raises(TooManyGenerators):
+            compare_ability(a, b, 7)
 
     def test_metrics_present(self, rng):
         sys_ = make_system(rng, 2)

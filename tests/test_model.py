@@ -7,14 +7,11 @@ import pytest
 
 from conftest import AC_MODEL, DC_MODEL, make_system
 from ctrlgauge import (
-    ConstraintKind,
-    ConstraintSpec,
     DimensionMismatch,
     LdtSystem,
     MissingTarget,
     NonPositiveBound,
     NormalizationSpec,
-    UnsupportedConstraint,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -23,7 +20,6 @@ from ctrlgauge import (
     save_model,
     validate,
 )
-from ctrlgauge.model import require_amplitude
 
 
 def _fmt(M):
@@ -66,12 +62,6 @@ class TestNormalizationSpec:
     def test_target_optional(self):
         spec = NormalizationSpec(input_rated=np.ones(1), state_rated=np.ones(2))
         assert spec.state_target is None
-
-    def test_require_amplitude_accepts_default(self):
-        require_amplitude(None)
-        require_amplitude(ConstraintSpec(kind=ConstraintKind.AMPLITUDE))
-        with pytest.raises(UnsupportedConstraint):
-            require_amplitude(ConstraintSpec(kind=ConstraintKind.FUEL))
 
 
 class TestNormalization:

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_vertex_sets_match, make_system
+from conftest import (
+    assert_vertex_sets_match,
+    make_system,
+    near_duplicate_cloud,
+    quadratic_dedup,
+)
 from ctrlgauge import (
     DegenerateZonotope,
     LdtSystem,
@@ -21,6 +26,7 @@ from ctrlgauge import (
     verification_suite,
     vertex_set_distance,
 )
+from ctrlgauge.oracle import _lexsorted_unique
 
 MASK = (1 << 64) - 1
 
@@ -100,6 +106,12 @@ class TestBruteVertices:
                 gens = rng.uniform(-2, 2, size=(6, n))
                 z = Zonotope(gens)
                 assert_vertex_sets_match(z.vertices(), brute_vertices(z))
+
+
+    @pytest.mark.parametrize("m,n", [(8, 3), (9, 2), (10, 3)])
+    def test_dedup_identical_to_quadratic_merge(self, rng, m, n):
+        cloud = near_duplicate_cloud(rng, m, n)
+        assert _lexsorted_unique(cloud).tobytes() == quadratic_dedup(cloud).tobytes()
 
 
 class TestVertexSetDistance:

@@ -1,11 +1,13 @@
 """Tests for zonotope geometry: vertices, volume, projections, membership."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import assert_vertex_sets_match
+from conftest import assert_vertex_sets_match, near_duplicate_cloud, quadratic_dedup
 from ctrlgauge import (
     BadAxes,
     DegenerateZonotope,
@@ -21,6 +23,7 @@ from ctrlgauge import (
     polygon_to_csv,
     svg_document,
 )
+from ctrlgauge.zonotope import MAX_VOLUME_SUBSETS, _dedup_rows, _facet_normals, hform
 
 
 class TestBasics:
@@ -133,6 +136,26 @@ class TestVolume:
         assert Zonotope(gens).volume() == pytest.approx(4.0 * acc, rel=1e-12)
 
 
+    def test_subset_cap_raises_before_allocating(self, rng):
+        gens = rng.uniform(-1, 1, size=(60, 6))  # C(60, 6) = 5.0e7 subsets
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyGenerators):
+                Zonotope(gens).volume()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_fifty_steps_in_three_dims_stay_under_cap(self, rng):
+        # the motors' 50-step stages: C(50, 3) subsets, summed in two chunks
+        gens = rng.uniform(-1, 1, size=(50, 3))
+        assert math.comb(50, 3) <= MAX_VOLUME_SUBSETS
+        subsets = np.array(list(itertools.combinations(range(50), 3)))
+        want = 8.0 * np.abs(np.linalg.det(gens[subsets])).sum()
+        assert Zonotope(gens).volume() == pytest.approx(want, rel=1e-12)
+
+
 class TestProjection:
     def test_box_projects_to_square(self):
         z = Zonotope(np.eye(3))
@@ -233,6 +256,68 @@ class TestHalfspaces:
     def test_flat_body_rejected(self):
         with pytest.raises(DegenerateZonotope):
             halfspace_representation(Zonotope([[1.0, 1.0], [2.0, 2.0]]))
+
+
+class TestHForm:
+    def test_flat_body_has_complement(self):
+        hf = hform(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        assert hf.complement.shape == (1, 3)
+        assert np.allclose(np.abs(hf.complement[0]), 1.0 / np.sqrt(3.0))
+        assert np.allclose(hf.normals @ hf.complement.T, 0.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(hf.normals, axis=1), 1.0)
+
+    def test_zero_generators_are_the_origin(self):
+        hf = hform(np.zeros((3, 2)))
+        assert hf.complement.shape == (2, 2)
+        assert hf.normals.shape == (0, 2)
+
+    def test_thin_solid_body_keeps_its_facets(self):
+        # aspect ratio 1e-10: flat for vertex enumeration, solid here
+        z = Zonotope([[1e5, 0.0], [0.0, 1e-5]])
+        hf = hform(z.generators)
+        assert hf.complement.shape == (0, 2)
+        assert contains_point(z, [0.0, 0.5e-5], tol=0.0)
+        assert not contains_point(z, [0.0, 2e-5], tol=0.0)
+
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_normals_match_pairwise_loop(self, rng, n):
+        gens = rng.uniform(-1, 1, size=(9, n))
+        gens[3] = 2.0 * gens[1]  # a parallel pair yields no normal
+        want = []
+        for subset in itertools.combinations(range(9), n - 1):
+            sub = gens[list(subset)]
+            if n == 3:
+                d = np.cross(sub[0], sub[1])
+                nd = np.linalg.norm(d)
+                if nd > 1e-12 * np.prod(np.linalg.norm(sub, axis=1)):
+                    want.append(d / nd)
+            else:
+                _, sv, vt = np.linalg.svd(sub, full_matrices=True)
+                if sv[-1] > 1e-12 * sv[0]:
+                    want.append(vt[-1])
+        want = np.asarray(want)
+        got = _facet_normals(gens)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+class TestDedup:
+    @pytest.mark.parametrize("m,n", [(8, 2), (9, 3), (10, 2)])
+    def test_identical_to_quadratic_merge(self, rng, m, n):
+        cloud = near_duplicate_cloud(rng, m, n)
+        got = _dedup_rows(cloud)
+        want = quadratic_dedup(cloud)
+        assert got.shape[0] < cloud.shape[0]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_face_sweep_vertices_unchanged(self, rng):
+        gens = rng.uniform(-1, 1, size=(8, 3))
+        from ctrlgauge.zonotope import _face_sweep_vertices
+
+        raw = _face_sweep_vertices(gens)
+        assert _dedup_rows(raw).tobytes() == quadratic_dedup(raw).tobytes()
 
 
 class TestContainsPoint:
