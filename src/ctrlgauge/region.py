@@ -218,8 +218,8 @@ def expansion_check(family, stage_from, stage_to):
 def region_summary(family):
     """JSON-ready per-stage summary of a region family.
 
-    Vertex counts are omitted (None) for stages whose generator count
-    exceeds the enumeration cap.
+    Vertex counts are omitted (None) for stages past the enumeration caps
+    (Zonotope.vertices raises TooManyGenerators).
     """
     final = family.stages[-1]
     report = final.shape_report()
@@ -233,7 +233,7 @@ def region_summary(family):
         "kind": family.kind.value,
         "N": family.horizon,
         "rank": report.rank,
-        "volumeByStage": [z.volume() for z in family.stages],
+        "volumeByStage": [z.volume() for z in family.stages[:-1]] + [report.volume],
         "sideLengths": report.side_lengths.tolist(),
         "shapeFactors": {
             "overall": report.overall_shape_factor,

@@ -5,18 +5,18 @@ stored as the rows of an (m, n) array. Controllability regions of
 discrete-time linear systems under unit input amplitude bounds are exactly
 such sets, so this module carries the geometric half of the analysis.
 
-Vertex enumeration never walks all 2^m sign patterns on the main path:
+Vertex enumeration never walks all 2^m sign patterns:
 
 * n = 1 and rank 1: the two extreme sums.
 * n = 2 (and rank-2 slices of higher dimensions): generators are flipped
   into the upper half-plane, merged when parallel, and sorted by angle;
   walking the sorted list yields the 2q polygon vertices directly.
-* n = 3: every facet normal of a rank-3 zonotope is a cross product of two
-  generators. Sweeping all pairs, splitting the generators into tied
-  (orthogonal to the normal) and decided ones, and enumerating each face
-  through the planar walk yields exactly the vertex set.
-* n >= 4: full sign enumeration with a convex-hull filter, capped at
-  MAX_GENERATORS generators.
+* n >= 3: a facet walk. Every facet normal is orthogonal to n-1
+  generators (_facet_normals, shared with hform); a facet with exactly
+  n-1 tied generators is a parallelotope whose corners are read off one
+  sign table, and every other facet is enumerated in its own hyperplane
+  by the same routine. Lower-rank zonotopes are flattened onto their span
+  first.
 
 Membership, gauges and containment all read one rank-aware H-form
 (hform): the complement of the generators' span, unit facet normals in
@@ -51,7 +51,10 @@ TIE_TOL = 1e-12
 MAX_GENERATORS = 20
 # subsets Zonotope.volume sums at most; a 50-step stage in R^3 has 19 600
 MAX_VOLUME_SUBSETS = 2_000_000
-VOLUME_CHUNK_BYTES = 1 << 20
+# corner sign patterns the facet walk builds at most, C(m, n-1) * 2^n; the
+# same budget as enumerating all 2^MAX_GENERATORS sign sums
+MAX_PATTERN_ROWS = 1 << MAX_GENERATORS
+CHUNK_BYTES = 1 << 20
 
 
 class Zonotope:
@@ -94,7 +97,12 @@ class Zonotope:
         return _rank(self.generators, tol)
 
     def vertices(self):
-        """All vertices as rows, deduplicated at 1e-9, lexicographically sorted."""
+        """All vertices as rows, deduplicated at 1e-9, lexicographically sorted.
+
+        Raises TooManyGenerators past MAX_GENERATORS generators, or past
+        MAX_PATTERN_ROWS facet corner patterns (n >= 7 with many
+        generators), checked before anything is built.
+        """
         if self.m > MAX_GENERATORS:
             raise TooManyGenerators(
                 f"{self.m} generators exceed the enumeration cap {MAX_GENERATORS}"
@@ -106,7 +114,7 @@ class Zonotope:
 
         Raises TooManyGenerators past MAX_VOLUME_SUBSETS subsets, checked
         before any subset is built; the determinants are summed in chunks
-        of about VOLUME_CHUNK_BYTES.
+        of about CHUNK_BYTES.
         """
         m, n = self.m, self.n
         if m < n or _rank(self.generators) < n:
@@ -116,7 +124,7 @@ class Zonotope:
             raise TooManyGenerators(
                 f"{count} generator subsets exceed the volume cap {MAX_VOLUME_SUBSETS}"
             )
-        chunk = max(1, VOLUME_CHUNK_BYTES // (8 * n * n))
+        chunk = max(1, CHUNK_BYTES // (8 * n * n))
         subsets = itertools.combinations(range(m), n)
         total = 0.0
         for start in range(0, count, chunk):
@@ -262,14 +270,26 @@ def _check_axes(axes, n):
 def _dedup_rows(pts, tol=DEDUP_TOL):
     """Merge rows closer than tol (max-norm); output stays lexsorted."""
     pts = np.asarray(pts, dtype=float)
-    if pts.shape[0] == 0:
+    k = pts.shape[0]
+    if k == 0:
         return pts
     pts = pts[np.lexsort(pts.T[::-1])]
-    # kept rows stay lexsorted, so only those whose first coordinate lies
-    # within tol of p can match it; the 2 tol window absorbs rounding
+    # rows stay lexsorted, so only rows whose first coordinate lies within
+    # tol of p can match it; the 2 tol window absorbs rounding. When no
+    # pair inside any window matches, the greedy merge keeps every row.
+    lo = np.searchsorted(pts[:, 0], pts[:, 0] - 2.0 * tol)
+    width = np.arange(k) - lo
+    total = int(width.sum())
+    if total == 0:
+        return pts
+    if total * pts.shape[1] <= CHUNK_BYTES // 8:
+        i = np.repeat(np.arange(k), width)
+        j = i - 1 - (np.arange(total) - np.repeat(np.cumsum(width) - width, width))
+        if not (np.abs(pts[i] - pts[j]).max(axis=1) <= tol).any():
+            return pts
     kept = [0]
     firsts = [pts[0, 0]]
-    for i in range(1, pts.shape[0]):
+    for i in range(1, k):
         p = pts[i]
         near = pts[kept[bisect.bisect_left(firsts, p[0] - 2.0 * tol) :]]
         if near.shape[0] == 0 or np.min(np.max(np.abs(near - p), axis=1)) > tol:
@@ -279,10 +299,13 @@ def _dedup_rows(pts, tol=DEDUP_TOL):
 
 
 def _canonical_flip(pgens):
-    """Flip 2-D rows into the upper half-plane; returns (flipped, signs)."""
-    flip = np.where(
-        (pgens[:, 1] < 0) | ((pgens[:, 1] == 0) & (pgens[:, 0] < 0)), -1.0, 1.0
-    )
+    """Flip 2-D rows into the upper half-plane; returns (flipped, signs).
+
+    A row with |y| <= TIE_TOL |x| counts as lying on the x axis, so that
+    rounding cannot split parallel rows between the angles 0 and pi.
+    """
+    x, y = pgens[:, 0], pgens[:, 1]
+    flip = np.copysign(1.0, np.where(np.abs(y) <= TIE_TOL * np.abs(x), x, y))
     return pgens * flip[:, np.newaxis], flip
 
 
@@ -305,98 +328,78 @@ def _merge_parallel(pgens):
 def _planar_vertex_signs(pgens):
     """Sign patterns whose sums are the vertices of a planar zonotope.
 
-    pgens rows must be nonzero. Parallel rows are grouped so they flip
-    together; the walk over sorted angles visits each polygon vertex once.
-    Returns a list of +-1 arrays aligned with the input rows.
+    pgens rows must be nonzero. Rows are flipped into the upper half-plane
+    and sorted by angle; rows less than TIE_TOL apart form one group and
+    flip together, so the walk visits each polygon vertex once. For q
+    groups it returns a (2q, m) array of +-1 whose row k < q sets the
+    first k groups to +1 and the rest to -1; rows q.. are their negations.
     """
     m = pgens.shape[0]
     canon, flip = _canonical_flip(pgens)
     ang = np.arctan2(canon[:, 1], canon[:, 0])
     order = np.argsort(ang, kind="stable")
-    groups = []
-    last_ang = None
-    for idx in order:
-        if last_ang is not None and abs(ang[idx] - last_ang) <= TIE_TOL:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-            last_ang = ang[idx]
-    if len(groups) == 1:
-        return [flip.copy(), -flip]
-    chain = []
-    cur = -np.ones(m)
-    chain.append(cur.copy())
-    for g in groups[:-1]:
-        cur[list(g)] = 1.0
-        chain.append(cur.copy())
-    patterns = chain + [-p for p in chain]
-    return [p * flip for p in patterns]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ang[order]) > TIE_TOL) + 1))
+    chain = np.empty((starts.size, m))
+    chain[:, order] = np.where(np.arange(m) < starts[:, np.newaxis], 1.0, -1.0)
+    return np.concatenate([chain, -chain]) * flip
 
 
-def _planar_vertices(pgens):
-    pats = _planar_vertex_signs(pgens)
-    return np.asarray([p @ pgens for p in pats])
+def _facet_walk_vertices(gens):
+    """Vertex candidates of a full-rank zonotope in R^n, n >= 3.
 
+    Every vertex lies on a facet, and every facet normal is among the
+    (n-1)-subset normals of _facet_normals. Along a unit normal d a facet
+    is the sum of the decided generators, sign(d . g) g, plus the zonotope
+    of the tied ones, |d . g| <= TIE_TOL |g|. A simple facet has n-1 tied
+    generators and is a parallelotope, so its corners are sign patterns;
+    they are kept as bit codes (bit j set for +g_j), which merge repeated
+    corners exactly. Every other facet is enumerated in its own hyperplane
+    by _vertices, once per tied set; so is the lower-dimensional face of a
+    normal too inexact to tie its own generators (a nearly parallel
+    pair's), down to a single vertex when nothing is tied.
 
-def _face_sweep_vertices(gens):
-    """Vertices of a rank-3 zonotope in R^3 via facet-normal sweeping."""
-    m = gens.shape[0]
-    norms = np.linalg.norm(gens, axis=1)
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = np.cross(gens[i], gens[j])
-            nd = float(np.linalg.norm(d))
-            if nd <= TIE_TOL * norms[i] * norms[j]:
-                continue
-            b1 = gens[i] / norms[i]
-            b2 = np.cross(d / nd, b1)
-            for dd in (d, -d):
-                dots = gens @ dd
-                tied = np.abs(dots) <= TIE_TOL * norms * nd
-                sgn = np.where(dots > 0.0, 1.0, -1.0)
-                sgn[tied] = 0.0
-                base = sgn @ gens
-                face = gens[tied]
-                plane = face @ np.stack([b1, b2], axis=1)
-                for pat in _planar_vertex_signs(plane):
-                    out.append(base + pat @ face)
-    return np.asarray(out)
-
-
-def _sign_enum_vertices(gens):
-    """Fallback for n >= 4: all sign sums, then a convex-hull filter."""
-    from scipy.spatial import ConvexHull, QhullError
-
+    Raises TooManyGenerators past MAX_PATTERN_ROWS corner patterns,
+    counted before anything is built; the codes are built in chunks of
+    about CHUNK_BYTES. The int64 codes hold the MAX_GENERATORS generators
+    Zonotope.vertices allows.
+    """
     m, n = gens.shape
-    keep = np.zeros((0, n))
-    chunk_bits = min(m, 16)
-    steps = 1 << (m - chunk_bits)
-    base_bits = np.arange(1 << chunk_bits, dtype=np.int64)
-    low_signs = (
-        ((base_bits[:, np.newaxis] >> np.arange(chunk_bits)) & 1) * 2.0 - 1.0
-    )
-    filtered = False
-    for hi in range(steps):
-        hi_signs = ((hi >> np.arange(m - chunk_bits)) & 1) * 2.0 - 1.0
-        pts = low_signs @ gens[:chunk_bits] + hi_signs @ gens[chunk_bits:]
-        pool = np.vstack([keep, pts])
-        try:
-            hull = ConvexHull(pool)
-            keep = pool[hull.vertices]
-            filtered = True
-        except QhullError:
-            # chunk is flat; carry the raw points, the full pool is not flat
-            keep = pool
-            filtered = False
-    if not filtered:
-        hull = ConvexHull(keep)
-        keep = keep[hull.vertices]
-    return keep
+    rows = math.comb(m, n - 1) << n
+    if rows > MAX_PATTERN_ROWS:
+        raise TooManyGenerators(
+            f"{rows} facet corner patterns of {m} generators exceed the "
+            f"vertex cap {MAX_PATTERN_ROWS}"
+        )
+    unit = gens / np.linalg.norm(gens, axis=1)[:, np.newaxis]
+    normals = _facet_normals(unit)
+    bits = np.left_shift(1, np.arange(m, dtype=np.int64))
+    corners = (np.arange(1 << (n - 1))[:, np.newaxis] >> np.arange(n - 1)) & 1
+    chunk = max(1, CHUNK_BYTES // (8 * (m + corners.shape[0])))
+    codes, facet_sets, facet_bases = [], [], []
+    for start in range(0, normals.shape[0], chunk):
+        dots = normals[start : start + chunk] @ unit.T
+        tied = np.abs(dots) <= TIE_TOL
+        up = ((dots > 0.0) & ~tied) @ bits
+        simple = tied.sum(axis=1) == n - 1
+        cols = np.nonzero(tied[simple])[1].reshape(-1, n - 1)
+        codes.append(np.unique(up[simple, np.newaxis] + bits[cols] @ corners.T))
+        other = ~simple
+        facet_sets.append(tied[other] @ bits)
+        facet_bases.append(np.where(tied[other], 0.0, np.sign(dots[other])) @ gens)
+    codes = np.concatenate(codes)
+    codes = np.unique(np.concatenate([codes, codes ^ ((1 << m) - 1)]))
+    signs = ((codes[:, np.newaxis] >> np.arange(m)) & 1) * 2.0 - 1.0
+    pts = [signs @ gens]
+    facet_sets, first = np.unique(np.concatenate(facet_sets), return_index=True)
+    facet_bases = np.concatenate(facet_bases)[first]
+    for code, base in zip(facet_sets, facet_bases):
+        face = _vertices(gens[(code >> np.arange(m)) & 1 == 1])
+        pts += [base + face, face - base]
+    return np.vstack(pts)
 
 
 def _vertices(G):
-    scale = max(1.0, float(np.abs(G).max()))
+    scale = max(1.0, float(np.abs(G).max(initial=0.0)))
     n = G.shape[1]
     gens = G[np.linalg.norm(G, axis=1) > TIE_TOL * scale]
     if gens.shape[0] == 0:
@@ -412,11 +415,9 @@ def _vertices(G):
         s = float(np.abs(gens).sum())
         return np.asarray([[-s], [s]])
     if n == 2:
-        pts = _planar_vertices(gens)
-    elif n == 3:
-        pts = _face_sweep_vertices(gens)
+        pts = _planar_vertex_signs(gens) @ gens
     else:
-        pts = _sign_enum_vertices(gens)
+        pts = _facet_walk_vertices(gens)
     return _dedup_rows(pts)
 
 

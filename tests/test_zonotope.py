@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from conftest import assert_vertex_sets_match, near_duplicate_cloud, quadratic_dedup
 from ctrlgauge import (
     BadAxes,
+    LdtSystem,
     DegenerateZonotope,
     DimensionMismatch,
     NotConvex,
@@ -21,9 +24,19 @@ from ctrlgauge import (
     halfspace_representation,
     polygon_area,
     polygon_to_csv,
+    reach_region,
+    region_summary,
     svg_document,
 )
-from ctrlgauge.zonotope import MAX_VOLUME_SUBSETS, _dedup_rows, _facet_normals, hform
+from ctrlgauge.oracle import brute_vertices
+from ctrlgauge.zonotope import (
+    MAX_PATTERN_ROWS,
+    MAX_VOLUME_SUBSETS,
+    _dedup_rows,
+    _facet_normals,
+    _facet_walk_vertices,
+    hform,
+)
 
 
 class TestBasics:
@@ -108,6 +121,87 @@ class TestVertices:
     def test_four_dim_box(self):
         verts = Zonotope(np.eye(4)).vertices()
         assert verts.shape == (16, 4)
+
+
+def _degenerate(rng, family, n, m):
+    gens = rng.uniform(-1, 1, size=(m, n))
+    if family == "parallel":
+        gens[1] = 1.5 * gens[0]
+        gens[3] = -0.5 * gens[2]
+    elif family == "coplanar":
+        gens[2] = 0.3 * gens[0] - 0.8 * gens[1]
+    elif family == "in_facet":
+        gens[: n + 1, -1] = 0.0  # n + 1 generators in the hyperplane x_n = 0
+    elif family == "thin":
+        gens[:, -1] *= 1e-6
+    elif family == "flat":
+        gens = gens[:, : n - 1] @ rng.uniform(-1, 1, size=(n - 1, n))
+    elif family == "zero_rows":
+        gens[2] = 0.0
+        gens[5] = 0.0
+    return gens
+
+
+class TestFacetWalk:
+    @pytest.mark.parametrize("n,max_m", [(2, 20), (3, 20), (4, 12), (5, 12)])
+    def test_general_position_count(self, rng, n, max_m):
+        # Zaslavsky: m generic generators in R^n give 2 sum_{i<n} C(m-1, i)
+        for m in range(1, max_m + 1):
+            verts = Zonotope(rng.standard_normal((m, n))).vertices()
+            want = 2 * sum(math.comb(m - 1, i) for i in range(n))
+            assert verts.shape == (want, n), (n, m)
+
+    @pytest.mark.parametrize(
+        "family", ["parallel", "coplanar", "in_facet", "thin", "flat", "zero_rows"]
+    )
+    @pytest.mark.parametrize("n,m", [(3, 9), (4, 6)])
+    def test_degenerate_families_match_brute(self, rng, family, n, m):
+        for _ in range(3):
+            z = Zonotope(_degenerate(rng, family, n, m))
+            got, want = z.vertices(), brute_vertices(z)
+            assert got.shape == want.shape
+            for d in rng.standard_normal((20, n)):
+                h = z.support(d)
+                assert float((got @ d).max()) == pytest.approx(h, rel=1e-9)
+                assert float((want @ d).max()) == pytest.approx(h, rel=1e-9)
+
+    def test_parallel_inputs_regression(self):
+        # rounding once split the parallel pair between the angles 0 and pi
+        # inside a facet, and the stage-3 count read 18
+        A = np.array([[0.9, 0.2, 0.0], [0.0, 0.8, 0.1], [0.1, 0.0, 0.7]])
+        b = np.array([1.0, 0.5, 0.2])
+        fam = reach_region(LdtSystem(name="par", A=A, B=np.stack([b, 1.5 * b], 1)), 3)
+        assert region_summary(fam)["vertexCountByStage"] == [2, 4, 8]
+        for z in fam.stages:
+            assert_vertex_sets_match(z.vertices(), brute_vertices(z))
+
+    def test_pattern_cap_raises_before_allocating(self, rng):
+        gens = rng.uniform(-1, 1, size=(20, 8))  # C(20, 7) * 2^8 = 1.98e7 rows
+        assert math.comb(20, 7) << 8 > MAX_PATTERN_ROWS
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyGenerators):
+                Zonotope(gens).vertices()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_no_hull_library_on_the_main_path(self):
+        code = (
+            "import sys, numpy as np, ctrlgauge as cg\n"
+            "rng = np.random.default_rng(0)\n"
+            "s = cg.LdtSystem(name='s', A=rng.uniform(-1, 1, (4, 4)),"
+            " B=rng.uniform(-1, 1, (4, 1)))\n"
+            "info = cg.region_summary(cg.reach_region(s, 6))\n"
+            "assert info['vertexCountByStage'][-1] > 16, info\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestVolume:
@@ -312,11 +406,21 @@ class TestDedup:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    def test_face_sweep_vertices_unchanged(self, rng):
-        gens = rng.uniform(-1, 1, size=(8, 3))
-        from ctrlgauge.zonotope import _face_sweep_vertices
+    @pytest.mark.parametrize("m,n", [(8, 2), (10, 3)])
+    def test_distinct_rows_come_back_sorted(self, rng, m, n):
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=m)))
+        gens = rng.uniform(-1, 1, size=(m, n))
+        gens[:, 0] = np.round(gens[:, 0], 1)  # many rows share a first coordinate
+        cloud = signs @ gens
+        got = _dedup_rows(cloud)
+        assert got.shape == cloud.shape
+        assert got.tobytes() == quadratic_dedup(cloud).tobytes()
 
-        raw = _face_sweep_vertices(gens)
+    def test_facet_walk_vertices_unchanged(self, rng):
+        gens = rng.uniform(-1, 1, size=(8, 3))
+        gens[2] = gens[0] + 0.5 * gens[1]  # non-simple facets repeat corners
+        raw = _facet_walk_vertices(gens)
+        assert _dedup_rows(raw).shape[0] < raw.shape[0]
         assert _dedup_rows(raw).tobytes() == quadratic_dedup(raw).tobytes()
 
 
