@@ -7,12 +7,16 @@ leftover freedom at a fixed horizon is the affine dimension of the set of
 admissible input sequences; comparing two systems reduces to containment
 of their regions stage by stage.
 
-Every geometric fact comes from the stage's H-form (zonotope.hform): the
-gauge max|D x|/c decides membership and gives the margin 1 - gauge and a
-separating row, and containment compares supports on the outer stage's
-normals. The LP runs only for witness inputs and strategy freedom, and
-for the gauge of stages whose normals are capped (n >= 4 past
-MAX_GENERATORS generators).
+Stage k is the Minkowski sum of the first k generator blocks, so its
+support along any direction is a prefix sum of |d . g|. Every geometric
+fact comes from one _Family per (system, kind, horizon): facet normals
+built once per span dimension (zonotope.hform) and the cumulative supports
+of every stage along them. The gauge max|D x|/C of all stages at once
+decides membership and gives the margin 1 - gauge and a separating row;
+containment compares cumulative supports on the outer family's rows. The
+LP runs only for witness inputs and strategy freedom, and for the gauge
+of stages whose normals are capped (n >= 4 past MAX_GENERATORS
+generators).
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from .errors import (
     PreconditionNotMet,
     TooManyGenerators,
 )
-from .region import RegionKind, reach_region, recover_region, stage_generators
-# contains_point is not called here; bench/tests looks it up as
-# control.contains_point, so the name stays importable
-from .zonotope import _rank, contains_point, hform  # noqa: F401
+from .region import RegionKind, stage_generators
+from .zonotope import MAX_GENERATORS, TIE_TOL, Zonotope, hform
+from .zonotope import _normals_capped, _rank, _span
+# not called here; bench/tests looks it up as control.contains_point
+from .zonotope import contains_point  # noqa: F401
 
 BOUNDARY_TOL = 1e-7
 STRICT_TOL = 1e-9
@@ -72,39 +77,129 @@ def _check_state(sys, x0):
     return x
 
 
-def _stage_gauge(rows, x):
-    """Gauge max|D x|/c of x in the zonotope of rows, and a separating row.
+@dataclass(frozen=True)
+class _Family:
+    """Stage-major generator rows (stage k is rows[:k*r]) with their H-forms.
 
-    Returns (gauge, direction). x lies in the region when the gauge is at
-    most 1: within GAUGE_TOL * max(1, |x|) of the span, and |D x| within
-    GAUGE_TOL * c plus the rounding bound of the products; the gauge is
-    then capped at 1, since rounding on a thin facet can push the ratio
-    past it. Otherwise the gauge exceeds 1 (infinite off the span) and
-    d . x > sum |d . g| for the returned unit direction d. Stages whose
-    normals are capped take the gauge from the max-margin LP, whose
-    separating direction may be None.
+    dirs stacks each stage's complement rows (zonotope._span) and, once
+    per run of consecutive stages whose span has the same dimension, the
+    unit facet normals of the run's last stage (zonotope.hform): the
+    stages of a run share their span, and every facet normal of an
+    earlier stage is a subset normal of the later stage's generators
+    there. supports[i, k-1] is stage k's cumulative support
+    sum_{j < k r} |dirs[i] . g_j| along a normal of its run, 0 along its
+    own complement rows and infinite where row i does not apply to stage
+    k (such a row bounds nothing). Only stages before the first one past
+    the normal cap (span dimension 4 or more and more than MAX_GENERATORS
+    generators) have a column.
     """
-    try:
-        hf = hform(rows)
-    except TooManyGenerators:
+
+    rows: np.ndarray
+    r: int
+    dirs: np.ndarray
+    supports: np.ndarray
+
+
+def _cumulative_supports(dirs, rows, r):
+    """Support of each stage of rows (r per stage) along each row of dirs."""
+    return np.cumsum(np.abs(dirs @ rows.T), axis=1)[:, r - 1 :: r]
+
+
+def _family(rows, r):
+    """The _Family of stage-major rows with r generators per stage."""
+    n = rows.shape[1]
+    stages = len(rows) // r
+    spans = []  # (rank, complement rows) per stage inside the normal cap
+    for k in range(1, stages):
+        live, sv, rank, vt = _span(rows[: k * r])
+        if _normals_capped(len(live), rank):
+            break
+        spans.append((rank, vt[rank:]))
+        # singular values only grow as rows are added, less what rounding
+        # drops (rows at most TIE_TOL times the largest entry): once the
+        # smallest clears this bound, every later stage spans R^n as well
+        if n <= 3 and rank == n and sv[-1] > 2 * TIE_TOL * (
+            np.linalg.norm(rows) + math.sqrt(len(rows)) * max(1.0, np.abs(rows).max())
+        ):
+            spans += [(n, vt[n:])] * (stages - 1 - k)
+            break
+    forms = {}  # the H-form of each run's last stage, by stage
+
+    def form(j):
+        if j not in forms:
+            forms[j] = hform(rows[: j * r])
+        return forms[j]
+
+    if len(spans) == stages - 1:
+        # the last stage takes its span from its own H-form
         try:
-            return 1.0 - lp.max_margin(_box_lp(rows, x)).margin, None
-        except Infeasible as exc:
-            return math.inf, exc.certificate
-    off = hf.complement @ x
-    if off.size and np.abs(off).max() > GAUGE_TOL * max(1.0, np.abs(x).max()):
-        j = int(np.argmax(np.abs(off)))
-        return math.inf, np.sign(off[j]) * hf.complement[j]
-    dx = hf.normals @ x
-    if not dx.size:
-        return 0.0, None
-    rounding = rows.shape[0] * EPS * (np.abs(hf.normals) @ np.abs(x) + hf.supports)
-    slack = np.abs(dx) - hf.supports * (1.0 + GAUGE_TOL) - rounding
-    j = int(np.argmax(slack))
-    gauge = float(np.max(np.abs(dx) / hf.supports))
-    if slack[j] <= 0.0:
-        return min(gauge, 1.0), None
-    return gauge, np.sign(dx[j]) * hf.normals[j]
+            spans.append((n - len(form(stages).complement), form(stages).complement))
+        except TooManyGenerators:
+            pass
+    k = len(spans)
+    ranks = [q for q, _ in spans]
+    ends = [j for j in range(1, k + 1) if j == k or ranks[j] != ranks[j - 1]]
+    runs = [form(j) for j in ends]
+    parts = [c for _, c in spans] + [f.normals for f in runs]
+    dirs = np.vstack(parts) if parts else np.zeros((0, n))
+    supports = np.full((len(dirs), k), np.inf)
+    i = 0
+    for j, (_, c) in enumerate(spans):
+        supports[i : i + len(c), j] = 0.0
+        i += len(c)
+    for start, end, f in zip([0, *ends], ends, runs):
+        if end - start == 1:
+            supports[i : i + len(f.normals), start] = f.supports
+        else:
+            sums = _cumulative_supports(f.normals, rows[: end * r], r)
+            supports[i : i + len(f.normals), start:end] = sums[:, start:]
+        i += len(f.normals)
+    return _Family(rows, r, dirs, supports)
+
+
+def _gauges(fam, x):
+    """Gauges of x in the stages with a column, and separating directions.
+
+    x lies in stage k when gauge[k-1] <= 1: within GAUGE_TOL * max(1, |x|)
+    of the span (the complement rows), and |D x| within GAUGE_TOL * C plus
+    the rounding bound of the products; the gauge is then capped at 1,
+    since rounding on a thin facet can push the ratio past it. Otherwise
+    the gauge exceeds 1 (infinite off the span) and d . x > sum |d . g|
+    for the unit direction d = direction[k-1]; it is None for members.
+    """
+    c = fam.supports
+    if not c.size:
+        return [], []
+    dx = fam.dirs @ x
+    ax = np.abs(dx)[:, np.newaxis]
+    off = np.where(c == 0.0, ax, 0.0)
+    leaves = off.max(axis=0) > GAUGE_TOL * max(1.0, float(np.abs(x).max()))
+    m = fam.r * np.arange(1, c.shape[1] + 1)
+    rounding = m * EPS * ((np.abs(fam.dirs) @ np.abs(x))[:, np.newaxis] + c)
+    span = c > 0.0
+    slack = np.where(span, ax - c * (1.0 + GAUGE_TOL) - rounding, -np.inf)
+    outside = slack.max(axis=0) > 0.0
+    gauge = np.divide(ax, c, out=np.zeros_like(c), where=span).max(axis=0)
+    gauge = np.where(leaves, np.inf, np.where(outside, gauge, np.minimum(gauge, 1.0)))
+    j = np.where(leaves, off.argmax(axis=0), slack.argmax(axis=0))
+    direction = np.sign(dx[j])[:, np.newaxis] * fam.dirs[j]
+    decided = leaves | outside
+    return gauge.tolist(), [d if o else None for d, o in zip(direction, decided)]
+
+
+def _stage_gauge(rows, x):
+    """Gauge of x in the zonotope of rows and a separating direction.
+
+    As _gauges for one stage; past the normal cap the gauge comes from the
+    max-margin LP, whose separating direction may be None.
+    """
+    gauge, direction = _gauges(_family(rows, rows.shape[0]), x)
+    if gauge:
+        return gauge[0], direction[0]
+    try:
+        return 1.0 - lp.max_margin(_box_lp(rows, x)).margin, None
+    except Infeasible as exc:
+        return math.inf, exc.certificate
 
 
 @dataclass(frozen=True)
@@ -139,15 +234,14 @@ class ControlSolution:
         }
 
 
-def _strategy_dim(rows, x):
-    """Affine dimension of {u in box : rows^T u = x}.
+def _strategy_dim(rows, x, gauge):
+    """Affine dimension of {u in box : rows^T u = x}, given x's gauge.
 
     With a margin above tolerance the box is inactive, so the dimension
     is that of the full solution space. Otherwise coordinates whose LP
     range collapses are pinned and the rest contribute their null-space
     dimension.
     """
-    gauge, _ = _stage_gauge(rows, x)
     if gauge > 1.0:
         raise NotMember("state is outside the region at this horizon")
     m = rows.shape[0]
@@ -168,55 +262,56 @@ def _strategy_dim(rows, x):
 def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS):
     """Fewest steps to reach x0 from the origin (or recover, by kind).
 
-    Sweeps horizons with the stage gauge; the first stage that contains
-    x0 is the answer, the horizon below it supplies the separating
-    certificate, and one LP there gives the witness inputs. Raises
-    NotReachable past max_steps.
+    One family serves every stage up to max_steps: the first stage whose
+    gauge contains x0 is the answer, found in one vectorised pass over the
+    cumulative supports (stages past the normal cap take one max-margin
+    LP each); the stage below it supplies the separating certificate, and
+    one LP there gives the witness inputs. Raises NotReachable past
+    max_steps.
     """
     x = _check_state(sys, x0)
-    r = sys.r
-    rows_all = stage_generators(sys, max_steps, kind)
+    rows = stage_generators(sys, max_steps, kind)
+    return _min_time(_family(rows, sys.r), x, kind)
+
+
+def _min_time(fam, x, kind):
+    """min_time on a built family, whose last stage is the horizon."""
+    r = fam.r
+    horizon = fam.rows.shape[0] // r
+    gauges, directions = _gauges(fam, x)
     if float(np.abs(x).max(initial=0.0)) <= 1e-12:
-        return ControlSolution(
-            min_steps=0,
-            inputs=np.zeros((0, r)),
-            strategy_dim=_strategy_dim(rows_all, x),
-            horizon=max_steps,
-            boundary="Interior",
-            margin=1.0,
-            certificate=None,
-        )
-    # the zero-step region is the origin; x itself separates
-    certificate = x / float(np.linalg.norm(x))
-    for steps in range(1, max_steps + 1):
-        gauge, direction = _stage_gauge(rows_all[: steps * r], x)
-        if gauge <= 1.0:
-            break
-        certificate = direction
+        steps, gauge, inputs, certificate = 0, 0.0, np.zeros((0, r)), None
     else:
-        raise NotReachable(
-            f"state not reachable within {max_steps} steps",
-            certificate=certificate,
-            max_steps=max_steps,
-        )
-    res = lp.feasible(_box_lp(rows_all[: steps * r], x))
-    if not res.feasible:
-        raise InternalError(
-            f"stage {steps} contains the state (gauge {gauge!r}) "
-            "but the witness LP finds no inputs"
-        )
-    inputs = res.witness.reshape(steps, r)
-    if kind is RegionKind.REACH:
-        # generator block i acts at time steps-1-i
-        inputs = inputs[::-1].copy()
-    else:
-        inputs = -inputs
+        while len(gauges) < horizon and not any(g <= 1.0 for g in gauges):
+            gauge, direction = _stage_gauge(fam.rows[: (len(gauges) + 1) * r], x)
+            gauges.append(gauge)
+            directions.append(direction)
+        # the zero-step region is the origin; x itself separates
+        directions.insert(0, x / float(np.linalg.norm(x)))
+        steps = next((k for k, g in enumerate(gauges, 1) if g <= 1.0), None)
+        if steps is None:
+            raise NotReachable(
+                f"state not reachable within {horizon} steps",
+                certificate=directions[-1],
+                max_steps=horizon,
+            )
+        gauge, certificate = gauges[steps - 1], directions[steps - 1]
+        res = lp.feasible(_box_lp(fam.rows[: steps * r], x))
+        if not res.feasible:
+            raise InternalError(
+                f"stage {steps} contains the state (gauge {gauge!r}) "
+                "but the witness LP finds no inputs"
+            )
+        inputs = res.witness.reshape(steps, r)
+        # reach: generator block i acts at time steps-1-i
+        inputs = inputs[::-1].copy() if kind is RegionKind.REACH else -inputs
+    final = gauges[-1] if len(gauges) == horizon else _stage_gauge(fam.rows, x)[0]
     margin = 1.0 - gauge
     return ControlSolution(
         min_steps=steps,
         inputs=inputs,
-        strategy_dim=_strategy_dim(rows_all, x),
-        horizon=max_steps,
+        strategy_dim=_strategy_dim(fam.rows, x, final),
+        horizon=horizon,
         boundary="Boundary" if margin <= BOUNDARY_TOL else "Interior",
         margin=margin,
         certificate=certificate,
@@ -230,7 +325,7 @@ def strategy_space_dim(sys, x0, horizon, kind=RegionKind.REACH):
     """
     x = _check_state(sys, x0)
     rows = stage_generators(sys, horizon, kind)
-    return _strategy_dim(rows, x)
+    return _strategy_dim(rows, x, _stage_gauge(rows, x)[0])
 
 
 @dataclass(frozen=True)
@@ -262,60 +357,65 @@ class AbilityVerdict:
         }
 
 
-def _containment(fam_inner, fam_outer):
-    """Stage-wise containment on the outer stages' H-forms.
+def _containment(inner, outer):
+    """Stage-wise containment of two families on the outer family's rows.
 
-    Z_inner lies in Z_outer exactly when no inner generator leaves the
-    outer span and h_inner <= h_outer on the outer normals, both within
-    STRICT_TOL * max(1, h_outer). Returns (margin, violations): the
-    margin is 1 - max h_inner/h_outer over all stages, or None when an
-    inner stage leaves the outer span; violations hold one entry per
-    failing stage.
+    Z_inner lies in Z_outer exactly when h_inner <= h_outer along every
+    row of the outer family that applies to the stage (h_outer = 0 on
+    complement rows), within STRICT_TOL * max(1, h_outer); rows that do
+    not apply have h_outer infinite. Returns (margin, violations): the margin
+    is 1 - max h_inner/h_outer over all stages and normals, or None when
+    an inner stage leaves the outer span; violations hold one entry per
+    failing stage. Raises TooManyGenerators when an outer stage is past
+    the normal cap.
     """
-    worst = 0.0
-    off_span = False
+    first_capped = outer.supports.shape[1] + 1
+    if first_capped * outer.r <= outer.rows.shape[0]:
+        raise TooManyGenerators(
+            f"stage {first_capped} is past the normal cap {MAX_GENERATORS}"
+        )
+    h_out = outer.supports
+    h_in = _cumulative_supports(outer.dirs, inner.rows, inner.r)
+    ratio = np.divide(h_in, h_out, out=np.zeros_like(h_in), where=h_out > 0.0)
+    worst = float(ratio.max(initial=0.0))
+    scale = np.maximum(1.0, h_out)
+    failing = h_in - h_out > STRICT_TOL * scale
     violations = []
-    for k in range(1, fam_inner.horizon + 1):
-        inner = fam_inner.stage(k).generators
-        hf = hform(fam_outer.stage(k).generators)
-        nc = hf.complement.shape[0]
-        dirs = np.vstack([hf.complement, hf.normals])
-        h_in = np.abs(dirs @ inner.T).sum(axis=1)
-        h_out = np.concatenate([np.zeros(nc), hf.supports])
-        worst = max(worst, float(np.max(h_in[nc:] / hf.supports, initial=0.0)))
-        excess = (h_in - h_out) / np.maximum(1.0, h_out)
-        j = int(np.argmax(excess))
-        if excess[j] <= STRICT_TOL:
-            continue
-        off_span = off_span or j < nc
-        d = dirs[j]
+    for k in np.flatnonzero(failing.any(axis=0)):
+        cand = np.flatnonzero(failing[:, k])
+        j = int(cand[np.argmax((h_in[cand, k] - h_out[cand, k]) / scale[cand, k])])
+        d = outer.dirs[j]
+        rows = inner.rows[: (k + 1) * inner.r]
         violations.append(
             {
-                "stage": k,
+                "stage": int(k) + 1,
                 "direction": d.tolist(),
-                "gap": float(h_in[j] - h_out[j]),
-                "vertex": (np.where(inner @ d >= 0.0, 1.0, -1.0) @ inner).tolist(),
+                "gap": float(h_in[j, k] - h_out[j, k]),
+                "vertex": (np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows).tolist(),
             }
         )
+    off_span = (failing & (h_out == 0.0)).any()
     return (None if off_span else 1.0 - worst), violations
+
+
+def _families(sys_a, sys_b, horizon, kind):
+    """The _family of each of two same-dimension systems."""
+    if sys_a.n != sys_b.n:
+        raise DimensionMismatch(f"state dimensions differ: {sys_a.n} vs {sys_b.n}")
+    return [_family(stage_generators(s, horizon, kind), s.r) for s in (sys_a, sys_b)]
 
 
 def compare_ability(sys_a, sys_b, horizon, kind=RegionKind.REACH, seed=0):
     """Compare the stage regions of two same-dimension systems.
 
-    Containment is exact at every horizon: supports on the outer stage's
-    facet normals, no LP. Stages with n >= 4 and more than MAX_GENERATORS
-    generators raise TooManyGenerators. The verdict names the stronger
-    system; the certificate carries the witnesses behind it. seed is
-    accepted and ignored (bench/workloads.py still passes it).
+    Containment is exact at every horizon: both directions compare
+    cumulative supports on the facet normals built once per system, no
+    LP. Stages with n >= 4 and more than MAX_GENERATORS generators raise
+    TooManyGenerators. The verdict names the stronger system; the
+    certificate carries the witnesses behind it. seed is accepted and
+    ignored (bench/workloads.py still passes it).
     """
-    if sys_a.n != sys_b.n:
-        raise DimensionMismatch(
-            f"state dimensions differ: {sys_a.n} vs {sys_b.n}"
-        )
-    builder = reach_region if kind is RegionKind.REACH else recover_region
-    fam_a = builder(sys_a, horizon)
-    fam_b = builder(sys_b, horizon)
+    fam_a, fam_b = _families(sys_a, sys_b, horizon, kind)
     margin_ab, fail_ab = _containment(fam_a, fam_b)
     margin_ba, fail_ba = _containment(fam_b, fam_a)
     a_in_b = not fail_ab
@@ -338,8 +438,8 @@ def compare_ability(sys_a, sys_b, horizon, kind=RegionKind.REACH, seed=0):
         "bViolations": fail_ba,
     }
     metrics = {
-        "a": {"name": sys_a.name, **fam_a.stages[-1].shape_report().to_dict()},
-        "b": {"name": sys_b.name, **fam_b.stages[-1].shape_report().to_dict()},
+        "a": {"name": sys_a.name, **Zonotope(fam_a.rows).shape_report().to_dict()},
+        "b": {"name": sys_b.name, **Zonotope(fam_b.rows).shape_report().to_dict()},
     }
     return AbilityVerdict(
         relation=relation,
@@ -397,15 +497,10 @@ def verify_theorem1(
     Precondition: A's stage regions are contained in B's at every stage up
     to the horizon (PreconditionNotMet otherwise), decided as in
     compare_ability. States are the final stage's vertices topped up with
-    random convex combinations of them.
+    random convex combinations of them. Each system's family is built once
+    and serves the minimum time of every state.
     """
-    if sys_a.n != sys_b.n:
-        raise DimensionMismatch(
-            f"state dimensions differ: {sys_a.n} vs {sys_b.n}"
-        )
-    builder = reach_region if kind is RegionKind.REACH else recover_region
-    fam_a = builder(sys_a, horizon)
-    fam_b = builder(sys_b, horizon)
+    fam_a, fam_b = _families(sys_a, sys_b, horizon, kind)
     _, violations = _containment(fam_a, fam_b)
     if violations:
         v = violations[0]
@@ -414,7 +509,7 @@ def verify_theorem1(
             f"{sys_b.name}; vertex {v['vertex']} is outside by {v['gap']:.3e} "
             f"along {v['direction']}"
         )
-    verts = fam_a.stage(horizon).vertices()
+    verts = Zonotope(fam_a.rows).vertices()
     if verts.shape[0] >= samples:
         states = verts[:samples]
     else:
@@ -427,8 +522,8 @@ def verify_theorem1(
     steps_tied = 0
     dims_tied = 0
     for x0 in states:
-        sol_a = min_time(sys_a, x0, kind=kind, max_steps=horizon)
-        sol_b = min_time(sys_b, x0, kind=kind, max_steps=horizon)
+        sol_a = _min_time(fam_a, x0, kind)
+        sol_b = _min_time(fam_b, x0, kind)
         if sol_b.min_steps > sol_a.min_steps:
             min_time_violations.append(
                 {

@@ -158,6 +158,15 @@ def _hull2d_indices(pts):
     idx = lower[:-1] + upper[:-1]
     if not idx:
         idx = [0]
+    if len(idx) > 2:
+        # the chain keeps its two ends; points tied in x up to rounding can
+        # put an edge midpoint there, so drop every point collinear with
+        # its cyclic neighbours
+        p = sorted_pts[idx]
+        a = np.roll(p, 1, axis=0) - p
+        b = np.roll(p, -1, axis=0) - p
+        turn = b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0]
+        idx = [i for i, t in zip(idx, turn) if t > eps]
     return order[np.asarray(idx, dtype=int)]
 
 

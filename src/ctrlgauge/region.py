@@ -22,10 +22,9 @@ from .errors import (
     UnstableGrowth,
 )
 from .model import validate
-from .zonotope import Zonotope, _rank
+from .zonotope import RANK_TOL, Zonotope, _rank
 
 GROWTH_LIMIT = 1e12
-RANK_TOL = 1e-9
 
 
 class RegionKind(enum.Enum):

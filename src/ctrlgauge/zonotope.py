@@ -439,26 +439,41 @@ class HForm:
     supports: np.ndarray
 
 
-def hform(gens):
-    """H-form of the zonotope generated by the rows of gens.
+def _span(gens):
+    """(nonzero rows, singular values, rank, vt) of the rows of gens.
 
-    Facet normals are computed in the generators' span and lifted back,
-    so flat zonotopes keep exact facets there. The span keeps every
-    singular direction above rounding level (TIE_TOL, not RANK_TOL), so a
-    thin but solid zonotope is not flattened. Raises TooManyGenerators
-    when the span has dimension 4 or more and there are more than
-    MAX_GENERATORS nonzero generators.
+    vt[:rank] spans the rows and vt[rank:] is the complement. Rows at most
+    TIE_TOL times the largest entry (or 1) count as zero. The span keeps
+    every singular direction above rounding level (TIE_TOL, not RANK_TOL),
+    so a thin but solid zonotope is not flattened.
     """
     gens = np.asarray(gens, dtype=float)
-    n = gens.shape[1]
     scale = max(1.0, float(np.abs(gens).max(initial=0.0)))
     gens = gens[np.linalg.norm(gens, axis=1) > TIE_TOL * scale]
     _, s, vt = np.linalg.svd(gens, full_matrices=True)
-    rank = int(np.sum(s > TIE_TOL * max(1.0, float(s.max(initial=0.0)))))
+    return gens, s, int(np.sum(s > TIE_TOL * max(1.0, float(s.max(initial=0.0))))), vt
+
+
+def hform(gens):
+    """H-form of the zonotope generated by the rows of gens.
+
+    Facet normals are computed in the generators' span (_span) and lifted
+    back, so flat zonotopes keep exact facets there. Raises
+    TooManyGenerators when the span has dimension 4 or more and there are
+    more than MAX_GENERATORS nonzero generators.
+    """
+    n = np.shape(gens)[1]
+    gens, _, rank, vt = _span(gens)
     basis = vt[:rank]
     normals = _facet_normals(gens @ basis.T) @ basis if rank else np.zeros((0, n))
     supports = np.abs(normals @ gens.T).sum(axis=1)
     return HForm(vt[rank:], normals, supports)
+
+
+def _normals_capped(m, rank):
+    """Whether hform raises TooManyGenerators for m nonzero generators
+    spanning rank dimensions."""
+    return rank >= 4 and m > MAX_GENERATORS
 
 
 def _facet_normals(gens):
@@ -482,7 +497,7 @@ def _facet_normals(gens):
         nd = np.linalg.norm(d, axis=1)
         keep = nd > TIE_TOL * norms[i] * norms[j]
         return d[keep] / nd[keep, np.newaxis]
-    if m > MAX_GENERATORS:
+    if _normals_capped(m, n):
         raise TooManyGenerators(
             f"{m} generators exceed the H-representation cap {MAX_GENERATORS}"
         )

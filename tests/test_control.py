@@ -27,7 +27,8 @@ from ctrlgauge import (
     strategy_space_dim,
     verify_theorem1,
 )
-from ctrlgauge.control import GAUGE_TOL, _stage_gauge
+from ctrlgauge import control
+from ctrlgauge.control import EPS, GAUGE_TOL, _family, _gauges, _stage_gauge
 from ctrlgauge.zonotope import hform
 from polytope_enum import affine_dim
 
@@ -186,6 +187,140 @@ class TestStageGauge:
         assert worst > 1.0 + GAUGE_TOL
 
 
+def _own_stage_gauge(rows, x):
+    """Gauge of x from the stage's own H-form alone, one hform per stage."""
+    hf = hform(rows)
+    off = hf.complement @ x
+    if off.size and np.abs(off).max() > GAUGE_TOL * max(1.0, np.abs(x).max()):
+        return math.inf
+    dx = np.abs(hf.normals @ x)
+    if not dx.size:
+        return 0.0
+    rounding = rows.shape[0] * EPS * (np.abs(hf.normals) @ np.abs(x) + hf.supports)
+    gauge = float(np.max(dx / hf.supports))
+    inside = np.all(dx <= hf.supports * (1.0 + GAUGE_TOL) + rounding)
+    return min(gauge, 1.0) if inside else gauge
+
+
+def _stage_states(rows, r, rng):
+    """Per stage: a random sum, a vertex, half of it and 1.03 times it."""
+    states = []
+    for k in range(1, rows.shape[0] // r + 1):
+        rk = rows[: k * r]
+        v = np.where(rk @ rng.standard_normal(rows.shape[1]) >= 0.0, 1.0, -1.0) @ rk
+        states += [rk.T @ rng.uniform(-1, 1, rk.shape[0]), v, 0.5 * v, 1.03 * v]
+    return states
+
+
+def _assert_family_matches_own_stages(rows, r, states, rel=1e-8):
+    fam = _family(rows, r)
+    for x in states:
+        gauges, directions = _gauges(fam, x)
+        assert len(gauges) == rows.shape[0] // r
+        for k, (got, d) in enumerate(zip(gauges, directions), 1):
+            want = _own_stage_gauge(rows[: k * r], x)
+            assert (got <= 1.0) == (want <= 1.0), (k, got, want)
+            if math.isinf(want):
+                assert math.isinf(got)
+            elif rel is not None:
+                assert got == pytest.approx(want, rel=rel), k
+            if got > 1.0:
+                assert float(d @ x) > np.abs(rows[: k * r] @ d).sum()
+            else:
+                assert d is None
+
+
+class TestFamilyGauge:
+    # one H-form per span dimension and cumulative supports must give every
+    # stage the gauge that stage's own H-form gives
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_every_stage_matches_its_own_hform(self, n, r):
+        rng = np.random.default_rng(40 + 10 * n + r)
+        for parallel in (False, True):
+            sys_ = make_system(rng, n, r=r, scale=0.9)
+            # well-conditioned A, so that the recover generators stay small
+            A = 0.7 * np.linalg.qr(sys_.A)[0] + 0.2 * sys_.A
+            # with r = 2, B's second column is parallel to its first
+            B = np.hstack([sys_.B[:, :1], -1.7 * sys_.B[:, :1]]) if parallel else sys_.B
+            sys_ = LdtSystem(name="s", A=A, B=B[:, :r])
+            for kind in (RegionKind.REACH, RegionKind.RECOVER):
+                rows = stage_generators(sys_, 12 // r if n == 4 else 6, kind)
+                _assert_family_matches_own_stages(rows, r, _stage_states(rows, r, rng))
+
+    def test_thin_motor_recover_family(self):
+        dc, dc_spec = load_model(DC_MODEL)
+        rows = stage_generators(normalize_full(dc, dc_spec), 80, RegionKind.RECOVER)
+        rng = np.random.default_rng(2)
+        states = _stage_states(rows, 1, rng)
+        picked = [states[i] for i in rng.choice(len(states), 24)]
+        _assert_family_matches_own_stages(rows, 1, picked)
+
+    def test_leaky_uncontrollable_families(self):
+        # B lies in an invariant plane of A, but rounding leaks the later
+        # generators out of it (up to about 1e-8): stages of one span
+        # dimension share normals, and the flat early stages keep their own.
+        # The leaked normals are rounding noise, so only membership and the
+        # separating directions are compared.
+        rng = np.random.default_rng(3)
+        for i in range(16):
+            n = 3 + i % 2
+            J = np.zeros((n, n))
+            J[:2, :2] = rng.uniform(-1.2, 1.2, (2, 2))
+            J[2:, 2:] = rng.uniform(-6.0, 6.0, (n - 2, n - 2))
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            B = Q[:, :2] @ rng.uniform(-1, 1, (2, 1))
+            sys_ = LdtSystem(name="u", A=Q @ J @ Q.T, B=B)
+            rows = stage_generators(sys_, 10, RegionKind.REACH)
+            states = _stage_states(rows, 1, rng)
+            _assert_family_matches_own_stages(rows, 1, states, rel=None)
+
+
+class TestHformCalls:
+    # hform runs once per run of stages with the same span dimension, never
+    # per stage, per state or per sample
+    def _count(self, monkeypatch):
+        calls = []
+
+        def counted(gens):
+            calls.append(np.asarray(gens).shape[0])
+            return hform(gens)
+
+        monkeypatch.setattr(control, "hform", counted)
+        return calls
+
+    def test_full_rank_first_stage_builds_one_form(self, monkeypatch, rng):
+        calls = self._count(monkeypatch)
+        a = make_system(rng, 2, r=2, name="a", scale=0.6)
+        b = LdtSystem(name="b", A=a.A, B=1.5 * a.B)
+        x0 = reach_region(a, 3).stage(3).generators.T @ rng.uniform(-1, 1, 6)
+        min_time(a, x0, max_steps=20)
+        assert len(calls) == 1
+        for horizon in (2, 9):
+            del calls[:]
+            compare_ability(a, b, horizon)
+            assert len(calls) == 2
+        for samples in (3, 30):
+            del calls[:]
+            verify_theorem1(a, b, 3, samples=samples)
+            assert len(calls) == 2
+
+    def test_one_form_per_span_dimension(self, monkeypatch):
+        # the dc motor's stages span 1, 2, then 3 dimensions
+        calls = self._count(monkeypatch)
+        dc, dc_spec = load_model(DC_MODEL)
+        sys_ = normalize_full(dc, dc_spec)
+        rows = stage_generators(sys_, 50, RegionKind.REACH)
+        for stage in (2, 4, 30):
+            del calls[:]
+            min_time(sys_, 0.5 * rows[:stage].sum(axis=0), max_steps=50)
+            assert sorted(calls) == [1, 2, 50]
+        del calls[:]
+        big = LdtSystem(name="b", A=sys_.A, B=2.0 * sys_.B)
+        verify_theorem1(sys_, big, 6, samples=20)
+        assert sorted(calls) == [1, 1, 2, 2, 6, 6]
+
+
 class TestStrategySpaceDim:
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(12):
@@ -296,6 +431,18 @@ class TestCompareAbility:
         # stage 1 of a is a segment off the segment of stage 1 of t
         assert verdict.certificate["minMarginAInB"] is None
         assert verdict.certificate["aViolations"][0]["stage"] == 1
+
+    def test_margin_is_null_when_inner_leaves_the_span(self):
+        # stage 1 of a is a segment off b's; its gap along b's own normal
+        # (2) is larger than the one off b's line (0.001), and the margin
+        # must still say that a leaves b's span
+        A = 0.5 * np.eye(2)
+        a = LdtSystem(name="a", A=A, B=np.array([[3.0], [0.001]]))
+        b = LdtSystem(name="b", A=A, B=np.array([[1.0], [0.0]]))
+        cert = compare_ability(a, b, 1).certificate
+        assert cert["minMarginAInB"] is None
+        assert cert["aViolations"][0]["gap"] == pytest.approx(2.0)
+        assert cert["minMarginBInA"] is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_containment_matches_brute_reference(self, n):
