@@ -10,13 +10,13 @@ of their regions stage by stage.
 Stage k is the Minkowski sum of the first k generator blocks, so its
 support along any direction is a prefix sum of |d . g|. Every geometric
 fact comes from one _Family per (system, kind, horizon): facet normals
-built once per span dimension (zonotope.hform) and the cumulative supports
-of every stage along them. The gauge max|D x|/C of all stages at once
-decides membership and gives the margin 1 - gauge and a separating row;
-containment compares cumulative supports on the outer family's rows. The
-LP runs only for witness inputs and strategy freedom, and for the gauge
-of stages whose normals are capped (n >= 4 past MAX_GENERATORS
-generators).
+built once per run of stages (zonotope.hform) and the cumulative supports
+of every stage along them. The gauge max|D x|/C, read in growing chunks of
+stages, decides membership and gives the margin 1 - gauge and a
+separating row; containment compares cumulative supports on the outer
+family's rows. The LP runs only for witness inputs and strategy freedom,
+and for the gauge of stages whose normals are capped (n >= 4 past
+MAX_GENERATORS generators).
 """
 
 from __future__ import annotations
@@ -81,23 +81,89 @@ def _check_state(sys, x0):
 class _Family:
     """Stage-major generator rows (stage k is rows[:k*r]) with their H-forms.
 
-    dirs stacks each stage's complement rows (zonotope._span) and, once
-    per run of consecutive stages whose span has the same dimension, the
-    unit facet normals of the run's last stage (zonotope.hform): the
-    stages of a run share their span, and every facet normal of an
-    earlier stage is a subset normal of the later stage's generators
-    there. supports[i, k-1] is stage k's cumulative support
+    The stages form runs: consecutive stages with the same span dimension,
+    ended early where a generator that is nonzero in one stage falls to
+    rounding level in the next (_falls), so that each run's last stage
+    keeps every generator of the run. dirs stacks each stage's complement
+    rows (zonotope._span) and the unit facet normals of each run's last
+    stage (zonotope.hform): every facet normal of an earlier stage of the
+    run is a subset normal of the last stage's generators in the same
+    span. supports[i, k-1] is stage k's cumulative support
     sum_{j < k r} |dirs[i] . g_j| along a normal of its run, 0 along its
     own complement rows and infinite where row i does not apply to stage
-    k (such a row bounds nothing). Only stages before the first one past
-    the normal cap (span dimension 4 or more and more than MAX_GENERATORS
-    generators) have a column.
+    k (such a row bounds nothing). capped is the first stage past the
+    normal cap (span dimension 4 or more and more than MAX_GENERATORS
+    nonzero generators), or None; only the stages before it have a column.
     """
 
     rows: np.ndarray
     r: int
     dirs: np.ndarray
     supports: np.ndarray
+    capped: int | None
+
+
+def _family(rows, r):
+    """The _Family of stage-major rows with r generators per stage."""
+    n = rows.shape[1]
+    stages = len(rows) // r
+    forms = {}
+
+    def form(k):
+        if k not in forms:
+            try:
+                forms[k] = hform(rows[: k * r])
+            except TooManyGenerators:
+                forms[k] = None
+        return forms[k]
+
+    falls, bound = (), math.inf
+    if stages > 1:
+        # rows at most TIE_TOL times the largest entry so far count as
+        # zero (zonotope._span); falls holds the stages at which a row
+        # nonzero in an earlier stage drops to that level
+        peak = np.maximum.accumulate(np.abs(rows).max(axis=1))
+        zero = TIE_TOL * np.maximum(1.0, peak)
+        norms = np.linalg.norm(rows, axis=1)
+        fall = np.searchsorted(zero[r - 1 :: r], norms) + 1
+        falls = set(fall[fall > np.arange(len(rows)) // r + 1].tolist())
+        # singular values only grow as rows are added, less what rounding
+        # drops: once the smallest clears this bound, every later stage
+        # spans R^n as well
+        bound = 2 * (TIE_TOL * np.linalg.norm(norms) + math.sqrt(len(rows)) * zero[-1])
+    complements, ends, capped, rank, full = [], [], None, None, False
+    for k in range(1, stages + 1):
+        was = rank
+        if k == stages and form(k):
+            # the last stage's span comes with its H-form, inside the cap
+            complement, count = form(k).complement, 0
+        elif full:
+            count = np.count_nonzero(norms[: k * r] > zero[k * r - 1])
+        else:
+            live, sv, rank, vt = _span(rows[: k * r])
+            complement, count = vt[rank:], len(live)
+            full = rank == n and sv[-1] > bound
+        rank = n - len(complement)
+        if _normals_capped(count, rank):
+            capped = k
+            break
+        if complements and (rank != was or k in falls):
+            ends.append(k - 1)
+        complements.append(complement)
+    if complements:
+        ends.append(len(complements))
+    normals = [form(k).normals for k in ends]
+    dirs = np.vstack(complements + normals) if complements else np.zeros((0, n))
+    supports = np.full((len(dirs), len(complements)), np.inf)
+    i = 0
+    for k, c in enumerate(complements):
+        supports[i : i + len(c), k] = 0.0
+        i += len(c)
+    for start, end, d in zip([0, *ends], ends, normals):
+        sums = _cumulative_supports(d, rows[: end * r], r)
+        supports[i : i + len(d), start:end] = sums[:, start:]
+        i += len(d)
+    return _Family(rows, r, dirs, supports, capped)
 
 
 def _cumulative_supports(dirs, rows, r):
@@ -105,76 +171,23 @@ def _cumulative_supports(dirs, rows, r):
     return np.cumsum(np.abs(dirs @ rows.T), axis=1)[:, r - 1 :: r]
 
 
-def _family(rows, r):
-    """The _Family of stage-major rows with r generators per stage."""
-    n = rows.shape[1]
-    stages = len(rows) // r
-    spans = []  # (rank, complement rows) per stage inside the normal cap
-    for k in range(1, stages):
-        live, sv, rank, vt = _span(rows[: k * r])
-        if _normals_capped(len(live), rank):
-            break
-        spans.append((rank, vt[rank:]))
-        # singular values only grow as rows are added, less what rounding
-        # drops (rows at most TIE_TOL times the largest entry): once the
-        # smallest clears this bound, every later stage spans R^n as well
-        if n <= 3 and rank == n and sv[-1] > 2 * TIE_TOL * (
-            np.linalg.norm(rows) + math.sqrt(len(rows)) * max(1.0, np.abs(rows).max())
-        ):
-            spans += [(n, vt[n:])] * (stages - 1 - k)
-            break
-    forms = {}  # the H-form of each run's last stage, by stage
+def _gauges(fam, x, lo, hi):
+    """Gauges of x in stages lo+1 .. hi of a family, and separating
+    directions.
 
-    def form(j):
-        if j not in forms:
-            forms[j] = hform(rows[: j * r])
-        return forms[j]
-
-    if len(spans) == stages - 1:
-        # the last stage takes its span from its own H-form
-        try:
-            spans.append((n - len(form(stages).complement), form(stages).complement))
-        except TooManyGenerators:
-            pass
-    k = len(spans)
-    ranks = [q for q, _ in spans]
-    ends = [j for j in range(1, k + 1) if j == k or ranks[j] != ranks[j - 1]]
-    runs = [form(j) for j in ends]
-    parts = [c for _, c in spans] + [f.normals for f in runs]
-    dirs = np.vstack(parts) if parts else np.zeros((0, n))
-    supports = np.full((len(dirs), k), np.inf)
-    i = 0
-    for j, (_, c) in enumerate(spans):
-        supports[i : i + len(c), j] = 0.0
-        i += len(c)
-    for start, end, f in zip([0, *ends], ends, runs):
-        if end - start == 1:
-            supports[i : i + len(f.normals), start] = f.supports
-        else:
-            sums = _cumulative_supports(f.normals, rows[: end * r], r)
-            supports[i : i + len(f.normals), start:end] = sums[:, start:]
-        i += len(f.normals)
-    return _Family(rows, r, dirs, supports)
-
-
-def _gauges(fam, x):
-    """Gauges of x in the stages with a column, and separating directions.
-
-    x lies in stage k when gauge[k-1] <= 1: within GAUGE_TOL * max(1, |x|)
-    of the span (the complement rows), and |D x| within GAUGE_TOL * C plus
-    the rounding bound of the products; the gauge is then capped at 1,
-    since rounding on a thin facet can push the ratio past it. Otherwise
-    the gauge exceeds 1 (infinite off the span) and d . x > sum |d . g|
-    for the unit direction d = direction[k-1]; it is None for members.
+    x lies in stage k when its gauge is at most 1: within GAUGE_TOL *
+    max(1, |x|) of the span (the complement rows), and |D x| within
+    GAUGE_TOL * C plus the rounding bound of the products; the gauge is
+    then capped at 1, since rounding on a thin facet can push the ratio
+    past it. Otherwise the gauge exceeds 1 (infinite off the span) and
+    d . x > sum |d . g| for the unit direction d; it is None for members.
     """
-    c = fam.supports
-    if not c.size:
-        return [], []
+    c = fam.supports[:, lo:hi]
     dx = fam.dirs @ x
     ax = np.abs(dx)[:, np.newaxis]
     off = np.where(c == 0.0, ax, 0.0)
     leaves = off.max(axis=0) > GAUGE_TOL * max(1.0, float(np.abs(x).max()))
-    m = fam.r * np.arange(1, c.shape[1] + 1)
+    m = fam.r * np.arange(lo + 1, lo + 1 + c.shape[1])
     rounding = m * EPS * ((np.abs(fam.dirs) @ np.abs(x))[:, np.newaxis] + c)
     span = c > 0.0
     slack = np.where(span, ax - c * (1.0 + GAUGE_TOL) - rounding, -np.inf)
@@ -184,22 +197,32 @@ def _gauges(fam, x):
     j = np.where(leaves, off.argmax(axis=0), slack.argmax(axis=0))
     direction = np.sign(dx[j])[:, np.newaxis] * fam.dirs[j]
     decided = leaves | outside
-    return gauge.tolist(), [d if o else None for d, o in zip(direction, decided)]
+    return zip(gauge.tolist(), [d if o else None for d, o in zip(direction, decided)])
+
+
+def _stage_gauges(fam, x, start=1):
+    """(gauge, direction) of x in every stage from `start` on, in order.
+
+    The stages with normals are read in chunks of 8, 16, 32, ... columns,
+    so a caller that stops at an early stage reads few of them. Stages
+    from fam.capped on take the max-margin LP, whose separating direction
+    may be None.
+    """
+    stages = len(fam.rows) // fam.r
+    lo = start - 1
+    while lo < fam.supports.shape[1]:
+        yield from _gauges(fam, x, lo, 2 * lo + 8)
+        lo = 2 * lo + 8
+    for k in range(max(start, fam.capped or stages + 1), stages + 1):
+        try:
+            yield 1.0 - lp.max_margin(_box_lp(fam.rows[: k * fam.r], x)).margin, None
+        except Infeasible as exc:
+            yield math.inf, exc.certificate
 
 
 def _stage_gauge(rows, x):
-    """Gauge of x in the zonotope of rows and a separating direction.
-
-    As _gauges for one stage; past the normal cap the gauge comes from the
-    max-margin LP, whose separating direction may be None.
-    """
-    gauge, direction = _gauges(_family(rows, rows.shape[0]), x)
-    if gauge:
-        return gauge[0], direction[0]
-    try:
-        return 1.0 - lp.max_margin(_box_lp(rows, x)).margin, None
-    except Infeasible as exc:
-        return math.inf, exc.certificate
+    """Gauge of x in the zonotope of rows and a separating direction."""
+    return next(_stage_gauges(_family(rows, len(rows)), x))
 
 
 @dataclass(frozen=True)
@@ -263,11 +286,11 @@ def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS):
     """Fewest steps to reach x0 from the origin (or recover, by kind).
 
     One family serves every stage up to max_steps: the first stage whose
-    gauge contains x0 is the answer, found in one vectorised pass over the
-    cumulative supports (stages past the normal cap take one max-margin
-    LP each); the stage below it supplies the separating certificate, and
-    one LP there gives the witness inputs. Raises NotReachable past
-    max_steps.
+    gauge contains x0 is the answer, read from the cumulative supports in
+    chunks of stages so that an early answer reads few of them (stages
+    past the normal cap take one max-margin LP each); the stage below it
+    supplies the separating certificate, and one LP there gives the
+    witness inputs. Raises NotReachable past max_steps.
     """
     x = _check_state(sys, x0)
     rows = stage_generators(sys, max_steps, kind)
@@ -277,25 +300,22 @@ def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS):
 def _min_time(fam, x, kind):
     """min_time on a built family, whose last stage is the horizon."""
     r = fam.r
-    horizon = fam.rows.shape[0] // r
-    gauges, directions = _gauges(fam, x)
+    horizon = len(fam.rows) // r
     if float(np.abs(x).max(initial=0.0)) <= 1e-12:
         steps, gauge, inputs, certificate = 0, 0.0, np.zeros((0, r)), None
     else:
-        while len(gauges) < horizon and not any(g <= 1.0 for g in gauges):
-            gauge, direction = _stage_gauge(fam.rows[: (len(gauges) + 1) * r], x)
-            gauges.append(gauge)
-            directions.append(direction)
         # the zero-step region is the origin; x itself separates
-        directions.insert(0, x / float(np.linalg.norm(x)))
-        steps = next((k for k, g in enumerate(gauges, 1) if g <= 1.0), None)
-        if steps is None:
+        certificate = x / float(np.linalg.norm(x))
+        for steps, (gauge, direction) in enumerate(_stage_gauges(fam, x), 1):
+            if gauge <= 1.0:
+                break
+            certificate = direction
+        else:
             raise NotReachable(
                 f"state not reachable within {horizon} steps",
-                certificate=directions[-1],
+                certificate=certificate,
                 max_steps=horizon,
             )
-        gauge, certificate = gauges[steps - 1], directions[steps - 1]
         res = lp.feasible(_box_lp(fam.rows[: steps * r], x))
         if not res.feasible:
             raise InternalError(
@@ -305,7 +325,7 @@ def _min_time(fam, x, kind):
         inputs = res.witness.reshape(steps, r)
         # reach: generator block i acts at time steps-1-i
         inputs = inputs[::-1].copy() if kind is RegionKind.REACH else -inputs
-    final = gauges[-1] if len(gauges) == horizon else _stage_gauge(fam.rows, x)[0]
+    final = gauge if steps == horizon else next(_stage_gauges(fam, x, horizon))[0]
     margin = 1.0 - gauge
     return ControlSolution(
         min_steps=steps,
@@ -361,7 +381,7 @@ def _containment(inner, outer):
     """Stage-wise containment of two families on the outer family's rows.
 
     Z_inner lies in Z_outer exactly when h_inner <= h_outer along every
-    row of the outer family that applies to the stage (h_outer = 0 on
+    row of the outer run that applies to the stage (h_outer = 0 on
     complement rows), within STRICT_TOL * max(1, h_outer); rows that do
     not apply have h_outer infinite. Returns (margin, violations): the margin
     is 1 - max h_inner/h_outer over all stages and normals, or None when
@@ -369,10 +389,9 @@ def _containment(inner, outer):
     failing stage. Raises TooManyGenerators when an outer stage is past
     the normal cap.
     """
-    first_capped = outer.supports.shape[1] + 1
-    if first_capped * outer.r <= outer.rows.shape[0]:
+    if outer.capped:
         raise TooManyGenerators(
-            f"stage {first_capped} is past the normal cap {MAX_GENERATORS}"
+            f"stage {outer.capped} is past the normal cap {MAX_GENERATORS}"
         )
     h_out = outer.supports
     h_in = _cumulative_supports(outer.dirs, inner.rows, inner.r)

@@ -162,11 +162,10 @@ def _hull2d_indices(pts):
         # the chain keeps its two ends; points tied in x up to rounding can
         # put an edge midpoint there, so drop every point collinear with
         # its cyclic neighbours
-        p = sorted_pts[idx]
-        a = np.roll(p, 1, axis=0) - p
-        b = np.roll(p, -1, axis=0) - p
-        turn = b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0]
-        idx = [i for i, t in zip(idx, turn) if t > eps]
+        q = sorted_pts[[idx[-1], *idx, idx[0]]]
+        a = q[:-2] - q[1:-1]
+        b = q[2:] - q[1:-1]
+        idx = np.asarray(idx)[b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0] > eps]
     return order[np.asarray(idx, dtype=int)]
 
 

@@ -28,7 +28,7 @@ from ctrlgauge import (
     verify_theorem1,
 )
 from ctrlgauge import control
-from ctrlgauge.control import EPS, GAUGE_TOL, _family, _gauges, _stage_gauge
+from ctrlgauge.control import EPS, GAUGE_TOL, _family, _stage_gauge, _stage_gauges
 from ctrlgauge.zonotope import hform
 from polytope_enum import affine_dim
 
@@ -188,8 +188,13 @@ class TestStageGauge:
 
 
 def _own_stage_gauge(rows, x):
-    """Gauge of x from the stage's own H-form alone, one hform per stage."""
+    """Gauge of x from the stage's own H-form alone, one hform per stage.
+
+    The supports sum over every row, the ones hform leaves out as rounding
+    level (at most TIE_TOL times the largest entry) too.
+    """
     hf = hform(rows)
+    hf = type(hf)(hf.complement, hf.normals, np.abs(hf.normals @ rows.T).sum(axis=1))
     off = hf.complement @ x
     if off.size and np.abs(off).max() > GAUGE_TOL * max(1.0, np.abs(x).max()):
         return math.inf
@@ -215,9 +220,9 @@ def _stage_states(rows, r, rng):
 def _assert_family_matches_own_stages(rows, r, states, rel=1e-8):
     fam = _family(rows, r)
     for x in states:
-        gauges, directions = _gauges(fam, x)
+        gauges = list(_stage_gauges(fam, x))
         assert len(gauges) == rows.shape[0] // r
-        for k, (got, d) in enumerate(zip(gauges, directions), 1):
+        for k, (got, d) in enumerate(gauges, 1):
             want = _own_stage_gauge(rows[: k * r], x)
             assert (got <= 1.0) == (want <= 1.0), (k, got, want)
             if math.isinf(want):
@@ -231,7 +236,7 @@ def _assert_family_matches_own_stages(rows, r, states, rel=1e-8):
 
 
 class TestFamilyGauge:
-    # one H-form per span dimension and cumulative supports must give every
+    # one H-form per run of stages and cumulative supports must give every
     # stage the gauge that stage's own H-form gives
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2])
@@ -276,9 +281,70 @@ class TestFamilyGauge:
             _assert_family_matches_own_stages(rows, 1, states, rel=None)
 
 
+class TestUnstableFamily:
+    # entries grow to about 1e10, so the early generators fall under the
+    # rounding threshold of the late stages (TIE_TOL times the largest
+    # entry); the stages that still count them must keep their facets
+    A = np.diag([10.0, 3.0])
+    B = np.array([[1e-3], [1e-3]])
+
+    def _system(self, kind):
+        A = self.A if kind is RegionKind.REACH else np.linalg.inv(self.A)
+        return LdtSystem(name="u", A=A, B=self.B)
+
+    @pytest.mark.parametrize("kind", [RegionKind.REACH, RegionKind.RECOVER])
+    def test_every_stage_matches_its_own_hform(self, kind):
+        rows = stage_generators(self._system(kind), 14, kind)
+        # outside stage 2 only along the normal of its first generator
+        pushed = rows[0] + rows[1] + 1e-4 * np.array([1.0, -1.0])
+        states = _stage_states(rows, 1, np.random.default_rng(5)) + [pushed]
+        _assert_family_matches_own_stages(rows, 1, states)
+
+    def test_min_time_keeps_the_early_facets(self):
+        sys_ = self._system(RegionKind.REACH)
+        rows = stage_generators(sys_, 3, RegionKind.REACH)
+        x = rows[0] + rows[1] + 1e-4 * np.array([1.0, -1.0])
+        sol = min_time(sys_, x, max_steps=14)
+        assert sol.min_steps == 3
+        assert np.allclose(simulate(sys_, np.zeros(2), sol.inputs)[-1], x, atol=1e-12)
+
+    def test_containment_keeps_the_early_facets(self):
+        # the inner stages are segments [-x, x] from stage 2 on, with x
+        # outside the outer stage 2 only along the normal of its first
+        # generator, and inside from stage 3 on
+        outer = self._system(RegionKind.REACH)
+        g = stage_generators(outer, 2, RegionKind.REACH)
+        x = g[0] + g[1] + 1e-4 * np.array([1.0, -1.0])
+        b = 1e-9 * g[0] / np.linalg.norm(g[0])
+        u = np.array([-x[1], x[0]]) / (x[0] * b[1] - x[1] * b[0])
+        inner = LdtSystem(name="v", A=np.outer(x, u), B=b.reshape(2, 1))
+        cert = compare_ability(inner, outer, 14).certificate
+        assert [v["stage"] for v in cert["aViolations"]] == [2]
+
+    @pytest.mark.parametrize("stretch", [0.5, 0.98, 1.0, 1.02, 1.5])
+    def test_containment_matches_each_stage(self, stretch):
+        outer = self._system(RegionKind.REACH)
+        inner = LdtSystem(name="v", A=self.A, B=self.B * np.array([[1.0], [stretch]]))
+        want = []
+        rows_in = stage_generators(inner, 14, RegionKind.REACH)
+        rows_out = stage_generators(outer, 14, RegionKind.REACH)
+        for k in range(1, 15):
+            hf = hform(rows_out[:k])
+            dirs = np.vstack([hf.complement, hf.normals])
+            # supports over every generator, the rounding-level ones too
+            h_out = np.abs(dirs @ rows_out[:k].T).sum(axis=1)
+            h_out[: len(hf.complement)] = 0.0
+            h_in = np.abs(dirs @ rows_in[:k].T).sum(axis=1)
+            if np.any(h_in - h_out > 1e-9 * np.maximum(1.0, h_out)):
+                want.append(k)
+        cert = compare_ability(inner, outer, 14).certificate
+        assert [v["stage"] for v in cert["aViolations"]] == want
+
+
 class TestHformCalls:
-    # hform runs once per run of stages with the same span dimension, never
-    # per stage, per state or per sample
+    # hform runs once per run of stages (same span dimension, no generator
+    # falling to rounding level inside the run), never per stage, per state
+    # or per sample
     def _count(self, monkeypatch):
         calls = []
 
