@@ -2,10 +2,9 @@
 
 Minimum-time questions reduce to membership of the target state in the
 stage regions: the smallest horizon whose region contains the state is the
-answer, and the LP witness converts directly into an input sequence. The
-leftover freedom at a fixed horizon is the affine dimension of the set of
-admissible input sequences; comparing two systems reduces to containment
-of their regions stage by stage.
+answer. The leftover freedom at a fixed horizon is the affine dimension of
+the set of admissible input sequences; comparing two systems reduces to
+containment of their regions stage by stage.
 
 Stage k is the Minkowski sum of the first k generator blocks, so its
 support along any direction is a prefix sum of |d . g|. Every geometric
@@ -14,9 +13,21 @@ built once per run of stages (zonotope.hform) and the cumulative supports
 of every stage along them. The gauge max|D x|/C, read in growing chunks of
 stages, decides membership and gives the margin 1 - gauge and a
 separating row; containment compares cumulative supports on the outer
-family's rows. The LP runs only for witness inputs and strategy freedom,
-and for the gauge of stages whose normals are capped (n >= 4 past
-MAX_GENERATORS generators).
+family's rows.
+
+Witness inputs and strategy freedom come from a face descent on the same
+normals (_descend). A face of a zonotope is a translate of the zonotope of
+the generators tied to its normal (McMullen, "On zonotopes", 1971), so
+the deciding normal of x pins every generator it does not tie, and the
+walk repeats on the tied ones. Tie rule: |d . g| <= TIE_TOL |g| for a
+unit normal d; parallel generators tie together and stay free between
+themselves. Thin stages keep their normals (the span keeps every
+direction above TIE_TOL), and a gauge within rounding of 1 is taken as 1,
+so noise along a thin facet does not rescale the inputs; flat stages are
+walked inside their span, and the witness is replayed against x itself,
+off-span rounding included. The LP runs only for stages whose normals
+are capped (n >= 4 past MAX_GENERATORS generators): their gauge, witness
+and freedom.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +113,15 @@ class _Family:
     dirs: np.ndarray
     supports: np.ndarray
     capped: int | None
+
+    def has_normals(self, k):
+        """Whether stage k comes before the normal cap."""
+        return self.capped is None or k < self.capped
+
+    @cached_property
+    def rank(self):
+        """Rank of the last stage (zonotope._rank)."""
+        return _rank(self.rows)
 
 
 def _family(rows, r):
@@ -220,11 +241,6 @@ def _stage_gauges(fam, x, start=1):
             yield math.inf, exc.certificate
 
 
-def _stage_gauge(rows, x):
-    """Gauge of x in the zonotope of rows and a separating direction."""
-    return next(_stage_gauges(_family(rows, len(rows)), x))
-
-
 @dataclass(frozen=True)
 class ControlSolution:
     """Minimum-time answer with the witness inputs and horizon diagnostics.
@@ -257,29 +273,99 @@ class ControlSolution:
         }
 
 
-def _strategy_dim(rows, x, gauge):
-    """Affine dimension of {u in box : rows^T u = x}, given x's gauge.
+def _descend(fam, k, x):
+    """Face descent in stage k of a family: (witness inputs, free mask).
 
-    With a margin above tolerance the box is inactive, so the dimension
-    is that of the full solution space. Otherwise coordinates whose LP
-    range collapses are pinned and the rest contribute their null-space
-    dimension.
+    With t the gauge of y (first x) over the active generators and d its
+    deciding normal, the untied generators are pinned at t sign(d . g) and
+    the walk repeats on the tied ones, projected off d, with y/t minus the
+    pinned sum; an independent tied set ends it with one linear solve.
+    The first level reads the family's stage-k normals, deeper ones call
+    hform on the tied rows. A gauge within the rounding bound of 1 counts
+    as 1, so noise along a thin facet does not rescale the inputs.
+    Rounding-level generators (as in
+    zonotope._span) get input 0 and stay free; the free mask adds the
+    active generators of the first level whose gauge is more than
+    BOUNDARY_TOL below 1. The witness must replay within lp.RESIDUAL_TOL
+    on the equations and the box, or InternalError.
+    """
+    rows = fam.rows[: k * fam.r]
+    m, n = rows.shape
+    norms = np.linalg.norm(rows, axis=1)
+    tiny = norms <= TIE_TOL * max(1.0, float(np.abs(rows).max()))
+    c = fam.supports[:, k - 1]
+    use = (c > 0.0) & (c < math.inf)
+    dirs, sup = fam.dirs[use], c[use]
+    u, y, scale, free = np.zeros(m), x, 1.0, None
+    active = np.flatnonzero(~tiny)
+    flat = rows[active]
+    while active.size:
+        if active.size == 1 or (active.size <= n and _rank(flat) == active.size):
+            u[active] = scale * np.linalg.lstsq(rows[active].T, y, rcond=None)[0]
+            break
+        if dirs is None:
+            form = hform(flat)
+            dirs, sup = form.normals, form.supports
+        dy = dirs @ y
+        i = int(np.argmax(np.abs(dy) / sup))
+        t = abs(float(dy[i])) / sup[i]
+        if abs(abs(dy[i]) - sup[i]) <= m * EPS * (np.abs(dirs[i]) @ np.abs(y) + sup[i]):
+            t = 1.0
+        if free is None and 1.0 - t > BOUNDARY_TOL:
+            free = tiny.copy()
+            free[active] = True
+        if t == 0.0:
+            break
+        d = math.copysign(1.0, dy[i]) * dirs[i]
+        proj = flat @ d
+        tied = np.abs(proj) <= TIE_TOL * norms[active]
+        signs = np.sign(proj[~tied])
+        u[active[~tied]] = scale * t * signs
+        y = y / t - signs @ rows[active[~tied]]
+        scale *= t
+        active, flat, dirs = active[tied], flat[tied] - np.outer(proj[tied], d), None
+    # a faint generator can take rounding noise for its input: bring it
+    # back into the box where that moves the state by a rounding amount
+    excess = np.abs(u) - 1.0
+    back = (excess > 0.0) & (excess * norms <= lp.RESIDUAL_TOL / m)
+    u[back] = np.sign(u[back])
+    slip = float(np.abs(u).max(initial=0.0)) - 1.0
+    resid = float(np.abs(rows.T @ u - x).max())
+    if resid > lp.RESIDUAL_TOL or slip > lp.RESIDUAL_TOL:
+        raise InternalError(
+            f"face descent witness failed verification (residual={resid:.3e}, "
+            f"bound violation={max(slip, 0.0):.3e})"
+        )
+    return u, tiny if free is None else free
+
+
+def _strategy_dim(fam, x, gauge, walk=None):
+    """Affine dimension of {u in box : rows^T u = x} at the last stage of a
+    family, given x's gauge there: the free coordinates less the rank of
+    their generators.
+
+    With a margin above BOUNDARY_TOL the box is inactive and every
+    coordinate is free. Otherwise the face descent (or walk, its result
+    for this stage and state) marks them; past the normal cap, a
+    coordinate is free when its LP range exceeds STRICT_TOL.
     """
     if gauge > 1.0:
         raise NotMember("state is outside the region at this horizon")
-    m = rows.shape[0]
+    rows = fam.rows
+    m, k = rows.shape[0], rows.shape[0] // fam.r
     if 1.0 - gauge > BOUNDARY_TOL:
-        return m - _rank(rows)
-    free = np.zeros(m, dtype=bool)
-    for j in range(m):
-        c = np.zeros(m)
-        c[j] = 1.0
-        lo = lp.optimize(_box_lp(rows, x, c), sense="min").value
-        hi = lp.optimize(_box_lp(rows, x, c), sense="max").value
-        free[j] = (hi - lo) > STRICT_TOL
-    if not free.any():
-        return 0
-    return int(free.sum()) - _rank(rows[free])
+        return m - fam.rank
+    if fam.has_normals(k):
+        free = (walk or _descend(fam, k, x))[1]
+    else:
+        free = np.zeros(m, dtype=bool)
+        for j in range(m):
+            c = np.zeros(m)
+            c[j] = 1.0
+            lo = lp.optimize(_box_lp(rows, x, c), sense="min").value
+            hi = lp.optimize(_box_lp(rows, x, c), sense="max").value
+            free[j] = (hi - lo) > STRICT_TOL
+    return int(free.sum()) - _rank(rows[free]) if free.any() else 0
 
 
 def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS):
@@ -289,8 +375,10 @@ def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS):
     gauge contains x0 is the answer, read from the cumulative supports in
     chunks of stages so that an early answer reads few of them (stages
     past the normal cap take one max-margin LP each); the stage below it
-    supplies the separating certificate, and one LP there gives the
-    witness inputs. Raises NotReachable past max_steps.
+    supplies the separating certificate, and the face descent from that
+    stage's deciding normal gives the witness inputs, with no LP (one
+    feasibility LP past the normal cap). Raises NotReachable past
+    max_steps.
     """
     x = _check_state(sys, x0)
     rows = stage_generators(sys, max_steps, kind)
@@ -301,6 +389,7 @@ def _min_time(fam, x, kind):
     """min_time on a built family, whose last stage is the horizon."""
     r = fam.r
     horizon = len(fam.rows) // r
+    walk = None
     if float(np.abs(x).max(initial=0.0)) <= 1e-12:
         steps, gauge, inputs, certificate = 0, 0.0, np.zeros((0, r)), None
     else:
@@ -316,21 +405,28 @@ def _min_time(fam, x, kind):
                 certificate=certificate,
                 max_steps=horizon,
             )
-        res = lp.feasible(_box_lp(fam.rows[: steps * r], x))
-        if not res.feasible:
-            raise InternalError(
-                f"stage {steps} contains the state (gauge {gauge!r}) "
-                "but the witness LP finds no inputs"
-            )
-        inputs = res.witness.reshape(steps, r)
+        if fam.has_normals(steps):
+            walk = _descend(fam, steps, x)
+            inputs = walk[0]
+        else:
+            res = lp.feasible(_box_lp(fam.rows[: steps * r], x))
+            if not res.feasible:
+                raise InternalError(
+                    f"stage {steps} contains the state (gauge {gauge!r}) "
+                    "but the witness LP finds no inputs"
+                )
+            inputs = res.witness
+        inputs = inputs.reshape(steps, r)
         # reach: generator block i acts at time steps-1-i
         inputs = inputs[::-1].copy() if kind is RegionKind.REACH else -inputs
-    final = gauge if steps == horizon else next(_stage_gauges(fam, x, horizon))[0]
     margin = 1.0 - gauge
+    if steps < horizon:
+        # the strategy dimension is taken at the horizon
+        gauge, walk = next(_stage_gauges(fam, x, horizon))[0], None
     return ControlSolution(
         min_steps=steps,
         inputs=inputs,
-        strategy_dim=_strategy_dim(fam.rows, x, final),
+        strategy_dim=_strategy_dim(fam, x, gauge, walk),
         horizon=horizon,
         boundary="Boundary" if margin <= BOUNDARY_TOL else "Interior",
         margin=margin,
@@ -345,7 +441,8 @@ def strategy_space_dim(sys, x0, horizon, kind=RegionKind.REACH):
     """
     x = _check_state(sys, x0)
     rows = stage_generators(sys, horizon, kind)
-    return _strategy_dim(rows, x, _stage_gauge(rows, x)[0])
+    fam = _family(rows, len(rows))
+    return _strategy_dim(fam, x, next(_stage_gauges(fam, x))[0])
 
 
 @dataclass(frozen=True)

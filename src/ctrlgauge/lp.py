@@ -130,9 +130,12 @@ class _Simplex:
         self.status[ncols:] = _BASIC
         self.basis = np.arange(ncols, ncols + self.nrows)
 
-    def _solve_b(self, rhs):
+    def _solve_b(self, rhs, transpose=False):
+        """Solve with the basis matrix (or its transpose); a singular basis
+        raises InternalError."""
+        basis = self.A[:, self.basis]
         try:
-            return np.linalg.solve(self.A[:, self.basis], rhs)
+            return np.linalg.solve(basis.T if transpose else basis, rhs)
         except np.linalg.LinAlgError as exc:
             raise InternalError(f"basis matrix became singular: {exc}") from exc
 
@@ -145,7 +148,7 @@ class _Simplex:
                 raise IterationLimit(
                     f"simplex exceeded {ITERATION_LIMIT} iterations"
                 )
-            y = np.linalg.solve(self.A[:, self.basis].T, c[self.basis])
+            y = self._solve_b(c[self.basis], transpose=True)
             reduced = c - self.A.T @ y
             at_lower = (self.status == _AT_LOWER) & (reduced < -PIVOT_TOL)
             at_upper = (self.status == _AT_UPPER) & (reduced > PIVOT_TOL)

@@ -458,14 +458,16 @@ def hform(gens):
     """H-form of the zonotope generated by the rows of gens.
 
     Facet normals are computed in the generators' span (_span) and lifted
-    back, so flat zonotopes keep exact facets there. Raises
-    TooManyGenerators when the span has dimension 4 or more and there are
-    more than MAX_GENERATORS nonzero generators.
+    back, so flat zonotopes keep exact facets there; the supports sum over
+    every row. Raises TooManyGenerators when the span has dimension 4 or
+    more and there are more than MAX_GENERATORS nonzero generators.
     """
-    n = np.shape(gens)[1]
-    gens, _, rank, vt = _span(gens)
+    gens = np.asarray(gens, dtype=float)
+    live, _, rank, vt = _span(gens)
     basis = vt[:rank]
-    normals = _facet_normals(gens @ basis.T) @ basis if rank else np.zeros((0, n))
+    normals = _facet_normals(live @ basis.T) @ basis if rank else vt[:0]
+    # every row counts in the supports, rounding-level ones included: a row
+    # the span drops can still weigh on a thin facet
     supports = np.abs(normals @ gens.T).sum(axis=1)
     return HForm(vt[rank:], normals, supports)
 

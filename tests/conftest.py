@@ -4,16 +4,27 @@ Random systems are always built from an explicit seeded generator so
 every test is reproducible in isolation.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctrlgauge
 from ctrlgauge import LdtSystem
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 DC_MODEL = MODELS_DIR / "dc_motor.json"
 AC_MODEL = MODELS_DIR / "ac_motor.json"
+
+
+def subprocess_env():
+    """The environment for a Python subprocess that imports ctrlgauge: the
+    package's source directory leads PYTHONPATH, which a subprocess does
+    not take from pytest's pythonpath setting."""
+    src = str(Path(ctrlgauge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def make_system(rng, n, r=1, name="sys", scale=1.0):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import AC_MODEL, DC_MODEL
+from conftest import AC_MODEL, DC_MODEL, subprocess_env
 from ctrlgauge import cli
 
 
@@ -312,6 +312,7 @@ class TestTopLevel:
             [sys.executable, "-m", "ctrlgauge.cli", "--version"],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert "ctrlgauge" in proc.stdout

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from conftest import AC_MODEL, DC_MODEL, make_system
 from ctrlgauge import (
@@ -19,6 +21,7 @@ from ctrlgauge import (
     compare_ability,
     load_model,
     lp_feasible,
+    lp_optimize,
     min_time,
     normalize_full,
     reach_region,
@@ -27,9 +30,10 @@ from ctrlgauge import (
     strategy_space_dim,
     verify_theorem1,
 )
-from ctrlgauge import control
-from ctrlgauge.control import EPS, GAUGE_TOL, _family, _stage_gauge, _stage_gauges
-from ctrlgauge.zonotope import hform
+from ctrlgauge import control, lp
+from ctrlgauge.control import EPS, GAUGE_TOL, _descend, _family, _stage_gauges
+from ctrlgauge.errors import InternalError
+from ctrlgauge.zonotope import _rank, hform
 from polytope_enum import affine_dim
 
 
@@ -42,6 +46,10 @@ def _brute_contained(fam_inner, fam_outer):
             if not lp_feasible(box).feasible:
                 return False
     return True
+
+
+def _stage_gauge(rows, x):
+    return next(_stage_gauges(_family(rows, len(rows)), x))
 
 
 def _scalar():
@@ -159,6 +167,24 @@ class TestMinTimeLpFallback:
         below = Zonotope(rows[:21])
         assert float(cert @ x0) > below.support(cert) + 1e-9
 
+    def test_capped_stage_uses_the_lp(self, monkeypatch):
+        # past the cap the witness and the freedom still come from the LP
+        sys_, rng = self._system()
+        rows = stage_generators(sys_, 8, RegionKind.REACH)
+        d = rng.standard_normal(4)
+        x0 = np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows
+        calls = []
+        for name in ("feasible", "optimize"):
+            def counted(*args, _name=name, _real=getattr(lp, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lp, name, counted)
+        sol = min_time(sys_, x0, max_steps=8)
+        assert calls.count("feasible") == 1
+        assert calls.count("optimize") == 2 * rows.shape[0]
+        assert sol.strategy_dim == 0
+
     def test_capped_stage_unreachable(self):
         sys_, rng = self._system()
         rows = stage_generators(sys_, 8, RegionKind.REACH)
@@ -188,13 +214,8 @@ class TestStageGauge:
 
 
 def _own_stage_gauge(rows, x):
-    """Gauge of x from the stage's own H-form alone, one hform per stage.
-
-    The supports sum over every row, the ones hform leaves out as rounding
-    level (at most TIE_TOL times the largest entry) too.
-    """
+    """Gauge of x from the stage's own H-form alone, one hform per stage."""
     hf = hform(rows)
-    hf = type(hf)(hf.complement, hf.normals, np.abs(hf.normals @ rows.T).sum(axis=1))
     off = hf.complement @ x
     if off.size and np.abs(off).max() > GAUGE_TOL * max(1.0, np.abs(x).max()):
         return math.inf
@@ -411,6 +432,189 @@ class TestStrategySpaceDim:
     def test_outside_raises(self):
         with pytest.raises(NotMember):
             strategy_space_dim(_scalar(), [6.0], 4)
+
+
+def _lp_sweep_dim(rows, x):
+    """Strategy dimension from the 2m-LP range sweep, as a reference."""
+    m = rows.shape[0]
+    free = np.zeros(m, dtype=bool)
+    for j in range(m):
+        box = BoxLp(G=rows.T, x0=x, lower=-np.ones(m), upper=np.ones(m),
+                    objective=np.eye(m)[j])
+        free[j] = lp_optimize(box, "max").value - lp_optimize(box, "min").value > 1e-9
+    return int(free.sum()) - (_rank(rows[free]) if free.any() else 0)
+
+
+def _lp_sweep_dim_or_reject(rows, x):
+    # the simplex itself fails on a few badly scaled recover stages (its
+    # witness slips out of the box); such an example has no reference
+    try:
+        return _lp_sweep_dim(rows, x)
+    except InternalError:
+        reject()
+
+
+def _descent_system(rng, n, r, style):
+    """A random system; style shapes its stages. parallel, zero and rounding
+    act on B's second column and need r = 2."""
+    A = rng.uniform(-1.0, 1.0, size=(n, n))
+    B = rng.uniform(-1.0, 1.0, size=(n, r))
+    if style == "parallel":
+        B = np.column_stack([B[:, 0], -1.7 * B[:, 0]])
+    elif style == "zero":
+        B[:, -1] = 0.0
+    elif style == "rounding":
+        B[:, -1] *= 1e-14
+    elif style == "flat":
+        # B inside an invariant plane of A: every stage spans 2 dimensions
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        core = np.zeros((n, n))
+        core[:2, :2] = rng.uniform(-1.0, 1.0, size=(2, 2))
+        core[2:, 2:] = np.diag(rng.uniform(0.5, 1.0, size=n - 2))
+        A, B = q @ core @ q.T, q[:, :2] @ rng.uniform(-1.0, 1.0, size=(2, r))
+    elif style == "thin":
+        # fast and slow modes: late stages are long and thin
+        A = np.diag(np.geomspace(1.6, 0.2, n))
+        B = np.ones((n, r)) + 0.01 * B
+    elif style == "nilpotent":
+        # A^n = 0 exactly: the stages past n add zero generators
+        A = np.triu(rng.uniform(0.5, 1.5, size=(n, n)), 1)
+    return LdtSystem(name=style, A=A, B=B)
+
+
+def _descent_state(rng, rows, where):
+    """A vertex, a point inside a face (edge) or an interior point.
+
+    The face is the one exposed by a direction orthogonal to 1 .. n-1
+    random generators: the others are pinned at its signs and these are
+    left free in the box.
+    """
+    m, n = rows.shape
+    if where == "interior":
+        return rows.T @ rng.uniform(-0.5, 0.5, size=m)
+    k = min(m, int(rng.integers(1, n))) if where == "edge" else 0
+    free = rng.choice(m, size=k, replace=False)
+    _, _, vt = np.linalg.svd(rows[free], full_matrices=True)
+    d = vt[free.size :].T @ rng.standard_normal(n - free.size)
+    u = np.where(rows @ d >= 0.0, 1.0, -1.0)
+    u[free] = rng.uniform(-1.0, 1.0, size=free.size)
+    return rows.T @ u
+
+
+DESCENT_STYLES = ["plain", "parallel", "zero", "rounding", "flat", "thin", "nilpotent"]
+
+
+class TestFaceDescent:
+    # witness inputs and strategy freedom from the family's normals: every
+    # witness replays within 1e-7 and every dimension equals the LP sweep's
+    # and the enumerated strategy polytope's
+
+    def _check(self, sys_, kind, horizon, where, rng, enumerate_=True, reference=None):
+        rows = stage_generators(sys_, horizon, kind)
+        x = _descent_state(rng, rows, where)
+        u, _ = _descend(_family(rows, sys_.r), horizon, x)
+        assert float(np.abs(rows.T @ u - x).max()) <= 1e-7
+        assert float(np.abs(u).max()) <= 1.0 + 1e-7
+        dim = strategy_space_dim(sys_, x, horizon, kind=kind)
+        assert dim == (reference or _lp_sweep_dim)(rows, x)
+        if enumerate_:
+            assert affine_dim(rows.T, x) == dim
+        sol = min_time(sys_, x, kind=kind, max_steps=horizon)
+        start = np.zeros(sys_.n) if kind is RegionKind.REACH else x
+        end = x if kind is RegionKind.REACH else np.zeros(sys_.n)
+        assert float(np.abs(simulate(sys_, start, sol.inputs)[-1] - end).max()) <= 1e-7
+        assert float(np.abs(sol.inputs).max(initial=0.0)) <= 1.0 + 1e-7
+        return dim
+
+    @pytest.mark.parametrize(
+        "style, n",
+        # a flat stage needs n >= 3
+        [(s, n) for s in DESCENT_STYLES for n in (2, 3, 4) if (s, n) != ("flat", 2)],
+    )
+    def test_matches_lp_and_enumeration(self, style, n):
+        rng = np.random.default_rng(10 * n + DESCENT_STYLES.index(style))
+        for r, kind in ((1, RegionKind.REACH), (2, RegionKind.RECOVER)):
+            if style in ("parallel", "zero", "rounding"):
+                r = 2
+            if style == "nilpotent":
+                kind = RegionKind.REACH
+            sys_ = _descent_system(rng, n, r, style)
+            horizon = 8 // r if n < 4 else 6 // r
+            for where in ("vertex", "edge", "interior"):
+                self._check(sys_, kind, horizon, where, rng)
+
+    def test_face_states_of_a_square(self):
+        # stage 2 of A = I, B = I is the square [-2, 2]^2 with generators
+        # e1, e2, e1, e2: an edge pins u1 = u3 = 1 and leaves u2 + u4 free
+        sys_ = LdtSystem(name="sq", A=np.eye(2), B=np.eye(2))
+        rows = stage_generators(sys_, 2, RegionKind.REACH)
+        for x, want in (((2.0, 0.5), 1), ((2.0, -2.0), 0), ((1.0, 0.5), 2)):
+            assert strategy_space_dim(sys_, x, 2) == want
+            assert _lp_sweep_dim(rows, np.array(x)) == want
+        u, free = _descend(_family(rows, 2), 2, np.array([2.0, 0.5]))
+        assert u[0] == u[2] == 1.0
+        assert free.tolist() == [False, True, False, True]
+        assert np.allclose(rows.T @ u, [2.0, 0.5], atol=1e-12)
+
+    def test_failed_replay_raises(self, monkeypatch):
+        # the walk's witness is replayed like an LP witness
+        sys_ = make_system(np.random.default_rng(2), 3, r=1)
+        rows = stage_generators(sys_, 5, RegionKind.REACH)
+        monkeypatch.setattr(lp, "RESIDUAL_TOL", -1.0)
+        with pytest.raises(InternalError):
+            _descend(_family(rows, 1), 5, rows.T @ np.full(5, 0.3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        r=st.integers(1, 2),
+        horizon=st.integers(1, 5),
+        recover=st.booleans(),
+        style=st.sampled_from(DESCENT_STYLES),
+        where=st.sampled_from(["vertex", "edge", "interior"]),
+    )
+    def test_property_matches_lp(self, seed, n, r, horizon, recover, style, where):
+        rng = np.random.default_rng(seed)
+        if style == "flat" and n == 2:
+            style = "plain"
+        if style in ("parallel", "zero", "rounding"):
+            r = 2
+        sys_ = _descent_system(rng, n, r, style)
+        kind = RegionKind.RECOVER if recover else RegionKind.REACH
+        if recover and abs(np.linalg.det(sys_.A)) < 0.05:
+            kind = RegionKind.REACH
+        self._check(sys_, kind, horizon, where, rng, enumerate_=horizon * r <= 6,
+                    reference=_lp_sweep_dim_or_reject)
+
+
+class TestZeroLp:
+    # below the normal cap the witness and the freedom come from the face
+    # descent: no LP runs
+    @pytest.fixture(autouse=True)
+    def _no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LP called below the normal cap")
+
+        for name in ("feasible", "optimize", "max_margin"):
+            monkeypatch.setattr(lp, name, refuse)
+
+    def test_min_time_and_freedom(self, rng):
+        for n, r in ((2, 1), (3, 2), (4, 1)):
+            sys_ = make_system(rng, n, r=r)
+            rows = stage_generators(sys_, 5, RegionKind.REACH)
+            vertex = np.sign(rows @ rng.standard_normal(n))
+            for u in (vertex, rng.uniform(-1, 1, 5 * r)):
+                x = rows.T @ u
+                sol = min_time(sys_, x, max_steps=8)
+                traj = simulate(sys_, np.zeros(n), sol.inputs)
+                assert np.allclose(traj[-1], x, atol=1e-7)
+                assert strategy_space_dim(sys_, x, 5) == affine_dim(rows.T, x)
+
+    def test_verify_theorem1(self, rng):
+        sys_a = make_system(rng, 3, name="a", scale=0.8)
+        sys_b = LdtSystem(name="b", A=sys_a.A, B=1.5 * sys_a.B)
+        assert verify_theorem1(sys_a, sys_b, 5, samples=30, seed=2).passed
 
 
 class TestCompareAbility:

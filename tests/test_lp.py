@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from ctrlgauge import BoxLp, DimensionMismatch, Infeasible
+from ctrlgauge import BoxLp, DimensionMismatch, Infeasible, InternalError, LdtSystem
+from ctrlgauge import RegionKind, stage_generators
 from ctrlgauge import lp_feasible, lp_max_margin, lp_optimize
+from ctrlgauge.lp import _Simplex
 from polytope_enum import affine_dim, polytope_vertices
 
 
@@ -123,6 +125,33 @@ class TestOptimize:
             hi = lp_optimize(_box(G, x0, objective=c), sense="max")
             assert lo.value == pytest.approx(float(vals.min()), abs=1e-7)
             assert hi.value == pytest.approx(float(vals.max()), abs=1e-7)
+
+
+class TestSingularBasis:
+    # a singular basis is a typed InternalError on every solve, never a
+    # raw numpy LinAlgError
+    def test_freedom_sweep_lp_of_parallel_inputs(self):
+        # one LP of the old strategy-freedom sweep: a vertex of stage 6 of
+        # an n = 4 recover family with B = [b, 1.7 b] (entries up to 2e6),
+        # minimising its 11th input; the simplex meets a singular basis
+        rng = np.random.default_rng(287)
+        A = rng.uniform(-1, 1, size=(4, 4))
+        b = rng.uniform(-1, 1, size=4)
+        sys_ = LdtSystem(name="p", A=A, B=np.column_stack([b, 1.7 * b]))
+        rows = stage_generators(sys_, 6, RegionKind.RECOVER)
+        rng.standard_normal(4)
+        x0 = np.where(rows @ rng.standard_normal(4) >= 0.0, 1.0, -1.0) @ rows
+        with pytest.raises(InternalError, match="singular"):
+            lp_optimize(_box(rows.T, x0, objective=np.eye(12)[10]), sense="min")
+
+    def test_dual_solve_guarded(self):
+        # two equal columns made basic by hand: the dual solve of the
+        # pricing step is the first to see the singular basis
+        solver = _Simplex(np.ones((2, 2)), np.ones(2), -np.ones(2), np.ones(2))
+        solver._setup_phase1()
+        solver.basis[:] = [0, 1]
+        with pytest.raises(InternalError, match="singular"):
+            solver._iterate(np.ones(4))
 
 
 class TestMaxMargin:

@@ -9,7 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_vertex_sets_match, near_duplicate_cloud, quadratic_dedup
+from conftest import (
+    assert_vertex_sets_match,
+    near_duplicate_cloud,
+    quadratic_dedup,
+    subprocess_env,
+)
 from ctrlgauge import (
     BadAxes,
     LdtSystem,
@@ -17,6 +22,7 @@ from ctrlgauge import (
     DimensionMismatch,
     NotConvex,
     Polygon2D,
+    RegionKind,
     TooManyGenerators,
     ZeroDirection,
     Zonotope,
@@ -26,6 +32,7 @@ from ctrlgauge import (
     polygon_to_csv,
     reach_region,
     region_summary,
+    stage_generators,
     svg_document,
 )
 from ctrlgauge.oracle import brute_vertices
@@ -198,7 +205,8 @@ class TestFacetWalk:
             "print('scipy.spatial' in sys.modules)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -455,6 +463,20 @@ class TestContainsPoint:
         z = Zonotope([[2.0]])
         assert contains_point(z, [1.5])
         assert not contains_point(z, [2.5])
+
+    def test_rounding_level_generators_count_in_the_supports(self):
+        # stage 14 of A = diag(10, 3), B = 1e-3 (1, 1): the first generator
+        # is under the span's rounding level, yet weighs 1.6e-6 of the
+        # support along the thin facet
+        sys_ = LdtSystem(name="u", A=np.diag([10.0, 3.0]), B=np.full((2, 1), 1e-3))
+        rows = stage_generators(sys_, 14, RegionKind.REACH)
+        z = Zonotope(rows)
+        rng = np.random.default_rng(0)
+        verts = [np.where(rows @ rng.standard_normal(2) >= 0.0, 1.0, -1.0) @ rows
+                 for _ in range(50)]
+        assert sum(contains_point(z, v) for v in verts) == 50
+        hf = hform(rows)
+        assert np.array_equal(hf.supports, np.abs(hf.normals @ rows.T).sum(axis=1))
 
 
 class TestExports:
