@@ -227,7 +227,9 @@ def _stage_gauges(fam, x, start=1):
     The stages with normals are read in chunks of 8, 16, 32, ... columns,
     so a caller that stops at an early stage reads few of them. Stages
     from fam.capped on take the max-margin LP, whose separating direction
-    may be None.
+    may be None; its gauge 1 - margin within GAUGE_TOL of 1 counts as 1,
+    so a rounding-level negative margin does not put a boundary state
+    outside.
     """
     stages = len(fam.rows) // fam.r
     lo = start - 1
@@ -236,7 +238,8 @@ def _stage_gauges(fam, x, start=1):
         lo = 2 * lo + 8
     for k in range(max(start, fam.capped or stages + 1), stages + 1):
         try:
-            yield 1.0 - lp.max_margin(_box_lp(fam.rows[: k * fam.r], x)).margin, None
+            gauge = 1.0 - lp.max_margin(_box_lp(fam.rows[: k * fam.r], x)).margin
+            yield (min(gauge, 1.0) if gauge <= 1.0 + GAUGE_TOL else gauge), None
         except Infeasible as exc:
             yield math.inf, exc.certificate
 

@@ -22,7 +22,7 @@ from .errors import (
     UnstableGrowth,
 )
 from .model import validate
-from .zonotope import RANK_TOL, Zonotope, _rank
+from .zonotope import Zonotope, _rank
 
 GROWTH_LIMIT = 1e12
 
@@ -132,7 +132,7 @@ def controllability_report(sys, horizon):
         )
     rows = stage_generators(sys, horizon, RegionKind.REACH)
     p = rows.T  # n x (horizon * r)
-    rank = _rank(p, RANK_TOL)
+    rank = _rank(p)
     grammian = p @ p.T
     min_eig = float(np.linalg.eigvalsh(grammian)[0])
     return ControllabilityReport(
@@ -189,7 +189,7 @@ def expansion_check(family, stage_from, stage_to):
     big = family.stage(stage_to).generators
     added = big[stage_from * r : stage_to * r]
     n = big.shape[1]
-    added_rank = _rank(added, RANK_TOL)
+    added_rank = _rank(added)
     if added_rank == n:
         return ExpansionReport(
             verdict="StrictlyExpanding",

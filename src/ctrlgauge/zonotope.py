@@ -9,8 +9,10 @@ Vertex enumeration never walks all 2^m sign patterns:
 
 * n = 1 and rank 1: the two extreme sums.
 * n = 2 (and rank-2 slices of higher dimensions): generators are flipped
-  into the upper half-plane, merged when parallel, and sorted by angle;
-  walking the sorted list yields the 2q polygon vertices directly.
+  into the upper half-plane and sorted by angle, parallel ones grouped;
+  one sign chain over the sorted groups yields the 2q polygon vertices
+  directly, counterclockwise. The same chain draws the outline of every
+  2-D coordinate projection (project_2d).
 * n >= 3: a facet walk. Every facet normal is orthogonal to n-1
   generators (_facet_normals, shared with hform); a facet with exactly
   n-1 tied generators is a parallelotope whose corners are read off one
@@ -21,6 +23,10 @@ Vertex enumeration never walks all 2^m sign patterns:
 Membership, gauges and containment all read one rank-aware H-form
 (hform): the complement of the generators' span, unit facet normals in
 it, and their supports.
+
+Shape factors come from volumes: the area of a 2-D coordinate projection
+is the volume of the projected generators, so the planar factors share
+the determinant sum, its cap and its flat rule (rank below 2 gives 0).
 
 Near-ties below 1e-12 (relative) are treated as exact ties and expanded on
 both sides; inputs engineered with angle gaps between 1e-12 and 1e-9 are
@@ -93,8 +99,8 @@ class Zonotope:
             raise ZeroDirection("direction must be nonzero and finite")
         return float(np.abs(self.generators @ d).sum())
 
-    def rank(self, tol=RANK_TOL):
-        return _rank(self.generators, tol)
+    def rank(self):
+        return _rank(self.generators)
 
     def vertices(self):
         """All vertices as rows, deduplicated at 1e-9, lexicographically sorted.
@@ -137,8 +143,10 @@ class Zonotope:
     def project_2d(self, axes):
         """Project onto two coordinate axes and build the polygon outline.
 
-        Returns a Polygon2D whose points run counterclockwise; flat
-        projections (rank below 2) come back flagged degenerate.
+        The outline is the planar vertex chain (_planar_vertex_signs), so
+        its points run counterclockwise from the lowest vertex; projections
+        whose generators are all parallel come back as a degenerate
+        segment, and all-zero ones as the single origin point.
         """
         axes = _check_axes(axes, self.n)
         pgens = self.generators[:, list(axes)]
@@ -147,24 +155,16 @@ class Zonotope:
         pgens = pgens[keep]
         if pgens.shape[0] == 0:
             return Polygon2D(points=np.zeros((1, 2)), degenerate=True, axes=axes)
-        merged = _merge_parallel(pgens)
-        if merged.shape[0] == 1:
-            h = merged[0]
-            return Polygon2D(points=np.vstack([-h, h]), degenerate=True, axes=axes)
-        start = -merged.sum(axis=0)
-        pts = [start]
-        for h in merged:
-            pts.append(pts[-1] + 2.0 * h)
-        for h in merged[:-1]:
-            pts.append(pts[-1] - 2.0 * h)
-        return Polygon2D(points=np.asarray(pts), degenerate=False, axes=axes)
+        pts = _planar_vertex_signs(pgens) @ pgens
+        return Polygon2D(points=pts, degenerate=pts.shape[0] == 2, axes=axes)
 
     def shape_report(self):
         """Volume, circumscribing-box sides, and shape factors in [0, 1].
 
         The overall factor compares the volume against the box volume; the
-        planar factors compare each 2-D projection's area against the
-        projected box area. Degenerate axes produce zero factors.
+        planar factors compare each 2-D projection's area, the volume of
+        the projected generators, against the projected box area. Flat
+        projections and degenerate axes produce zero factors.
         """
         G = self.generators
         n = self.n
@@ -180,8 +180,7 @@ class Zonotope:
             if denom <= 0.0:
                 planar[(i, j)] = 0.0
                 continue
-            poly = self.project_2d((i, j))
-            planar[(i, j)] = polygon_area(poly) / denom
+            planar[(i, j)] = Zonotope(G[:, [i, j]]).volume() / denom
         return ShapeReport(
             volume=vol,
             side_lengths=side_lengths,
@@ -250,11 +249,11 @@ def polygon_area(poly):
 # --- vertex enumeration internals -------------------------------------------
 
 
-def _rank(G, tol=RANK_TOL):
+def _rank(G):
     s = np.linalg.svd(np.asarray(G, dtype=float), compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+    return int(np.sum(s > RANK_TOL * max(1.0, float(s[0]))))
 
 
 def _check_axes(axes, n):
@@ -309,22 +308,6 @@ def _canonical_flip(pgens):
     return pgens * flip[:, np.newaxis], flip
 
 
-def _merge_parallel(pgens):
-    """Sum parallel 2-D rows after canonical flipping; rows sorted by angle."""
-    canon, _ = _canonical_flip(pgens)
-    ang = np.arctan2(canon[:, 1], canon[:, 0])
-    order = np.argsort(ang, kind="stable")
-    merged = []
-    last_ang = None
-    for idx in order:
-        if last_ang is not None and abs(ang[idx] - last_ang) <= TIE_TOL:
-            merged[-1] = merged[-1] + canon[idx]
-        else:
-            merged.append(canon[idx].copy())
-            last_ang = ang[idx]
-    return np.asarray(merged)
-
-
 def _planar_vertex_signs(pgens):
     """Sign patterns whose sums are the vertices of a planar zonotope.
 
@@ -333,6 +316,10 @@ def _planar_vertex_signs(pgens):
     flip together, so the walk visits each polygon vertex once. For q
     groups it returns a (2q, m) array of +-1 whose row k < q sets the
     first k groups to +1 and the rest to -1; rows q.. are their negations.
+    Their sums therefore run counterclockwise around the polygon from
+    minus the sum of the flipped rows, each step adding twice the next
+    group's flipped sum (project_2d draws its outline in this order); a
+    single group gives the two ends of a segment.
     """
     m = pgens.shape[0]
     canon, flip = _canonical_flip(pgens)

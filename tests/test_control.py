@@ -185,6 +185,24 @@ class TestMinTimeLpFallback:
         assert calls.count("optimize") == 2 * rows.shape[0]
         assert sol.strategy_dim == 0
 
+    @pytest.mark.parametrize("seed", [0, 2, 8, 9, 10, 13])
+    def test_capped_stage_vertex_at_rounding_margin(self, seed):
+        # the max-margin LP puts these vertices a rounding step outside
+        # (margin about -2e-16); the gauge reads them as on the boundary
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-0.6, 0.6, (4, 4))
+        B = rng.uniform(-1, 1, (4, 3))
+        sys_ = LdtSystem(name="capped", A=A, B=B)
+        rows = stage_generators(sys_, 8, RegionKind.REACH)
+        x0 = np.sign(rows @ rng.standard_normal(4)) @ rows
+        sol = min_time(sys_, x0, max_steps=8)
+        assert sol.min_steps == 8
+        assert sol.strategy_dim == 0
+        traj = simulate(sys_, np.zeros(4), sol.inputs)
+        assert np.abs(traj[-1] - x0).max() <= 1e-7
+        assert np.abs(sol.inputs).max() <= 1.0 + 1e-7
+        assert strategy_space_dim(sys_, x0, 8) == 0
+
     def test_capped_stage_unreachable(self):
         sys_, rng = self._system()
         rows = stage_generators(sys_, 8, RegionKind.REACH)

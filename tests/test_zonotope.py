@@ -258,6 +258,26 @@ class TestVolume:
         assert Zonotope(gens).volume() == pytest.approx(want, rel=1e-12)
 
 
+def _projection_cases(rng):
+    """Generator sets in R^3 whose 2-D projections cover random, parallel
+    and antiparallel, zero-row, all-parallel and all-zero generators."""
+    base = rng.uniform(-1, 1, size=(6, 3))
+    parallel = base.copy()
+    parallel[1] = 2.5 * parallel[0]
+    parallel[3] = -0.7 * parallel[0]
+    parallel[4] = -parallel[2]
+    zero_row = base.copy()
+    zero_row[2] = 0.0
+    # columns 0 and 1 parallel: the (0, 1) projection is a segment
+    line = base.copy()
+    line[:, 1] = -1.3 * line[:, 0]
+    # columns 0 and 1 zero: the (0, 1) projection is the origin
+    point = base.copy()
+    point[:, :2] = 0.0
+    cases = [rng.uniform(-1, 1, size=(m, 3)) for m in (1, 2, 3, 5, 9, 14)]
+    return cases + [parallel, zero_row, line, point]
+
+
 class TestProjection:
     def test_box_projects_to_square(self):
         z = Zonotope(np.eye(3))
@@ -266,16 +286,35 @@ class TestProjection:
         assert polygon_area(poly) == pytest.approx(4.0)
 
     def test_projection_area_matches_planar_volume(self, rng):
-        gens = rng.uniform(-1, 1, size=(5, 3))
-        for axes in [(0, 1), (0, 2), (1, 2)]:
-            poly = Zonotope(gens).project_2d(axes)
-            flat = Zonotope(gens[:, list(axes)])
-            assert polygon_area(poly) == pytest.approx(flat.volume(), rel=1e-9)
+        # the outline is the counterclockwise vertex set of the projected
+        # generators, and its area is their volume
+        for gens in [rng.uniform(-1, 1, size=(5, 3)), *_projection_cases(rng)]:
+            z = Zonotope(gens)
+            for axes in itertools.combinations(range(z.n), 2):
+                pgens = gens[:, list(axes)]
+                poly = z.project_2d(axes)
+                assert_vertex_sets_match(poly.points, brute_vertices(pgens), tol=1e-12)
+                assert poly.degenerate == (poly.points.shape[0] < 3)
+                # counterclockwise and convex, or polygon_area raises
+                area = polygon_area(poly)
+                want = Zonotope(pgens).volume()
+                assert area == pytest.approx(want, rel=1e-12, abs=1e-12)
+                # the chain starts at -sum g over the generators flipped
+                # into the upper half-plane: the lowest point, leftmost
+                pts = poly.points
+                assert np.lexsort((pts[:, 0], pts[:, 1]))[0] == 0
 
-    def test_degenerate_projection_flagged(self):
+    def test_degenerate_projection_flagged(self, rng):
         gens = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
         poly = Zonotope(gens).project_2d((0, 1))
         assert poly.degenerate
+        # all parallel: the two ends of a segment; all zero: the origin
+        gens = np.outer(rng.uniform(-2, 2, 4), rng.uniform(-1, 1, 2))
+        poly = Zonotope(gens).project_2d((0, 1))
+        assert poly.degenerate and poly.points.shape == (2, 2)
+        assert np.allclose(poly.points[1], -poly.points[0], atol=1e-15)
+        poly = Zonotope(np.zeros((3, 3))).project_2d((0, 2))
+        assert poly.degenerate and np.array_equal(poly.points, np.zeros((1, 2)))
 
     def test_bad_axes(self):
         z = Zonotope(np.eye(3))
@@ -317,11 +356,30 @@ class TestShapeReport:
         assert rep.rank == 3
 
     def test_factors_in_unit_interval(self, rng):
-        for _ in range(5):
-            rep = Zonotope(rng.uniform(-1, 1, size=(6, 3))).shape_report()
+        # planar factors are outline areas over projected box areas
+        randoms = [rng.uniform(-1, 1, size=(6, 3)) for _ in range(5)]
+        for gens in randoms + _projection_cases(rng):
+            z = Zonotope(gens)
+            rep = z.shape_report()
             assert 0.0 <= rep.overall_shape_factor <= 1.0 + 1e-12
-            for v in rep.planar_shape_factors.values():
+            half = np.abs(gens).sum(axis=0)
+            for (i, j), v in rep.planar_shape_factors.items():
                 assert 0.0 <= v <= 1.0 + 1e-12
+                denom = 4.0 * half[i] * half[j]
+                want = polygon_area(z.project_2d((i, j))) / denom if denom else 0.0
+                assert v == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_flat_projections_read_zero(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            gens = np.outer(rng.uniform(-2, 2, int(rng.integers(1, 8))), rng.uniform(-1, 1, n))
+            rep = Zonotope(gens).shape_report()
+            assert all(v == 0.0 for v in rep.planar_shape_factors.values())
+        gens = rng.uniform(-1, 1, size=(6, 3))
+        gens[:, 1] = 0.7 * gens[:, 0]
+        rep = Zonotope(gens).shape_report()
+        assert rep.planar_shape_factors[(0, 1)] == 0.0
+        assert rep.planar_shape_factors[(0, 2)] > 0.0
 
     def test_to_dict_keys(self):
         d = Zonotope(np.eye(2)).shape_report().to_dict()
