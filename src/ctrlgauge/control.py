@@ -8,12 +8,13 @@ containment of their regions stage by stage.
 
 Stage k is the Minkowski sum of the first k generator blocks, so its
 support along any direction is a prefix sum of |d . g|. Every geometric
-fact comes from one _Family per (system, kind, horizon): facet normals
-built once per run of stages (zonotope.hform) and the cumulative supports
-of every stage along them. The gauge max|D x|/C, read in growing chunks of
-stages, decides membership and gives the margin 1 - gauge and a
-separating row; containment compares cumulative supports on the outer
-family's rows.
+fact comes from one _Family per (system, kind, horizon): one
+zonotope._spans call (each stage keeps the span it decides alone),
+facet normals built once per run of stages of one span dimension, and
+the cumulative supports of every stage along them. The gauge max|D x|/C,
+read in growing chunks of stages, decides membership and gives the
+margin 1 - gauge and a separating row; containment compares cumulative
+supports on the outer family's rows.
 
 Witness inputs and strategy freedom come from a face descent on the same
 normals (_descend). A face of a zonotope is a translate of the zonotope of
@@ -21,13 +22,13 @@ the generators tied to its normal (McMullen, "On zonotopes", 1971), so
 the deciding normal of x pins every generator it does not tie, and the
 walk repeats on the tied ones. Tie rule: |d . g| <= TIE_TOL |g| for a
 unit normal d; parallel generators tie together and stay free between
-themselves. Thin stages keep their normals (the span keeps every
+themselves. Thin stages keep their normals (the span rule keeps every
 direction above TIE_TOL), and a gauge within rounding of 1 is taken as 1,
 so noise along a thin facet does not rescale the inputs; flat stages are
 walked inside their span, and the witness is replayed against x itself,
-off-span rounding included. The LP runs only for stages whose normals
-are capped (n >= 4 past MAX_GENERATORS generators): their gauge, witness
-and freedom.
+off-span rounding included; the strategy dimension ranks by the span
+rule. The LP runs only for stages whose normals are capped (n >= 4 past
+MAX_GENERATORS generators): their gauge, witness and freedom.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +50,8 @@ from .errors import (
     TooManyGenerators,
 )
 from .region import RegionKind, stage_generators
-from .zonotope import MAX_GENERATORS, TIE_TOL, Zonotope, hform
-from .zonotope import _normals_capped, _rank, _span
+from .zonotope import EPS, MAX_GENERATORS, TIE_TOL, Zonotope, hform
+from .zonotope import _facet_normals, _normals_capped, _spans
 # not called here; bench/tests looks it up as control.contains_point
 from .zonotope import contains_point  # noqa: F401
 
@@ -61,7 +61,6 @@ STRICT_TOL = 1e-9
 # relative to max(1, |x|)); tighter than the LP's feasibility tolerance,
 # so the witness LP accepts every stage the gauge accepts
 GAUGE_TOL = 1e-10
-EPS = float(np.finfo(float).eps)
 DECISIVE_GAP = 1e-6
 # Not read by the library, which decides every horizon exactly; kept, with
 # compare_ability's seed keyword, because bench/workloads.py reads both.
@@ -91,25 +90,23 @@ def _check_state(sys, x0):
 
 @dataclass(frozen=True)
 class _Family:
-    """Stage-major generator rows (stage k is rows[:k*r]) with their H-forms.
+    """Stage-major generator rows (stage k is rows[:k*r]) with their facets.
 
-    The stages form runs: consecutive stages with the same span dimension,
-    ended early where a generator that is nonzero in one stage falls to
-    rounding level in the next (_falls), so that each run's last stage
-    keeps every generator of the run. dirs stacks each stage's complement
-    rows (zonotope._span) and the unit facet normals of each run's last
-    stage (zonotope.hform): every facet normal of an earlier stage of the
-    run is a subset normal of the last stage's generators in the same
-    span. supports[i, k-1] is stage k's cumulative support
-    sum_{j < k r} |dirs[i] . g_j| along a normal of its run, 0 along its
-    own complement rows and infinite where row i does not apply to stage
-    k (such a row bounds nothing). capped is the first stage past the
-    normal cap (span dimension 4 or more and more than MAX_GENERATORS
-    nonzero generators), or None; only the stages before it have a column.
+    live and dims come from one zonotope._spans call. dirs stacks its
+    basis, whose rows from dims[k*r] on are stage k's complement, and the
+    unit facet normals of the last stage of each run of stages of one span
+    dimension (they include every earlier stage's subset normals).
+    supports[i, k-1] is stage k's cumulative support sum_{j < k r}
+    |dirs[i] . g_j| along a normal of its run, 0 along its own complement
+    rows and infinite where row i bounds nothing. capped is the first
+    stage past the normal cap (span dimension 4 or more and more than
+    MAX_GENERATORS live generators), or None; earlier stages have columns.
     """
 
     rows: np.ndarray
     r: int
+    live: np.ndarray
+    dims: np.ndarray
     dirs: np.ndarray
     supports: np.ndarray
     capped: int | None
@@ -118,73 +115,31 @@ class _Family:
         """Whether stage k comes before the normal cap."""
         return self.capped is None or k < self.capped
 
-    @cached_property
-    def rank(self):
-        """Rank of the last stage (zonotope._rank)."""
-        return _rank(self.rows)
-
 
 def _family(rows, r):
     """The _Family of stage-major rows with r generators per stage."""
     n = rows.shape[1]
-    stages = len(rows) // r
-    forms = {}
-
-    def form(k):
-        if k not in forms:
-            try:
-                forms[k] = hform(rows[: k * r])
-            except TooManyGenerators:
-                forms[k] = None
-        return forms[k]
-
-    falls, bound = (), math.inf
-    if stages > 1:
-        # rows at most TIE_TOL times the largest entry so far count as
-        # zero (zonotope._span); falls holds the stages at which a row
-        # nonzero in an earlier stage drops to that level
-        peak = np.maximum.accumulate(np.abs(rows).max(axis=1))
-        zero = TIE_TOL * np.maximum(1.0, peak)
-        norms = np.linalg.norm(rows, axis=1)
-        fall = np.searchsorted(zero[r - 1 :: r], norms) + 1
-        falls = set(fall[fall > np.arange(len(rows)) // r + 1].tolist())
-        # singular values only grow as rows are added, less what rounding
-        # drops: once the smallest clears this bound, every later stage
-        # spans R^n as well
-        bound = 2 * (TIE_TOL * np.linalg.norm(norms) + math.sqrt(len(rows)) * zero[-1])
-    complements, ends, capped, rank, full = [], [], None, None, False
-    for k in range(1, stages + 1):
-        was = rank
-        if k == stages and form(k):
-            # the last stage's span comes with its H-form, inside the cap
-            complement, count = form(k).complement, 0
-        elif full:
-            count = np.count_nonzero(norms[: k * r] > zero[k * r - 1])
-        else:
-            live, sv, rank, vt = _span(rows[: k * r])
-            complement, count = vt[rank:], len(live)
-            full = rank == n and sv[-1] > bound
-        rank = n - len(complement)
-        if _normals_capped(count, rank):
-            capped = k
-            break
-        if complements and (rank != was or k in falls):
-            ends.append(k - 1)
-        complements.append(complement)
-    if complements:
-        ends.append(len(complements))
-    normals = [form(k).normals for k in ends]
-    dirs = np.vstack(complements + normals) if complements else np.zeros((0, n))
-    supports = np.full((len(dirs), len(complements)), np.inf)
-    i = 0
-    for k, c in enumerate(complements):
-        supports[i : i + len(c), k] = 0.0
-        i += len(c)
+    live, basis, dims = _spans(rows)
+    span_dims = dims[r::r]
+    over = _normals_capped(np.cumsum(live)[r - 1 :: r], span_dims)
+    stages = int(np.argmax(over)) if over.any() else len(span_dims)
+    span_dims = span_dims[:stages]
+    ends = [*(np.flatnonzero(np.diff(span_dims)) + 1).tolist(), stages][:stages]
+    normals = []
+    for end in ends:
+        span = basis[: span_dims[end - 1]]
+        head = rows[: end * r][live[: end * r]]
+        normals.append(_facet_normals(head @ span.T) @ span if len(span) else span)
+    dirs = np.vstack([basis, *normals])
+    supports = np.full((len(dirs), stages), np.inf)
+    supports[:n][np.arange(n)[:, np.newaxis] >= span_dims] = 0.0
+    i = n
     for start, end, d in zip([0, *ends], ends, normals):
         sums = _cumulative_supports(d, rows[: end * r], r)
         supports[i : i + len(d), start:end] = sums[:, start:]
         i += len(d)
-    return _Family(rows, r, dirs, supports, capped)
+    capped = stages + 1 if over.any() else None
+    return _Family(rows, r, live, dims, dirs, supports, capped)
 
 
 def _cumulative_supports(dirs, rows, r):
@@ -197,17 +152,19 @@ def _gauges(fam, x, lo, hi):
     directions.
 
     x lies in stage k when its gauge is at most 1: within GAUGE_TOL *
-    max(1, |x|) of the span (the complement rows), and |D x| within
-    GAUGE_TOL * C plus the rounding bound of the products; the gauge is
-    then capped at 1, since rounding on a thin facet can push the ratio
-    past it. Otherwise the gauge exceeds 1 (infinite off the span) and
-    d . x > sum |d . g| for the unit direction d; it is None for members.
+    max(1, |x|) of the span (Euclidean distance, from the complement
+    rows), and |D x| within GAUGE_TOL * C plus the rounding bound of the
+    products; the gauge is then capped at 1, since rounding on a thin
+    facet can push the ratio past it. Otherwise the gauge exceeds 1
+    (infinite off the span) and d . x > sum |d . g| for the unit
+    direction d; it is None for members.
     """
     c = fam.supports[:, lo:hi]
     dx = fam.dirs @ x
     ax = np.abs(dx)[:, np.newaxis]
     off = np.where(c == 0.0, ax, 0.0)
-    leaves = off.max(axis=0) > GAUGE_TOL * max(1.0, float(np.abs(x).max()))
+    # a distance, so the same in any basis of the stage's complement
+    leaves = np.linalg.norm(off, axis=0) > GAUGE_TOL * max(1.0, np.linalg.norm(x))
     m = fam.r * np.arange(lo + 1, lo + 1 + c.shape[1])
     rounding = m * EPS * ((np.abs(fam.dirs) @ np.abs(x))[:, np.newaxis] + c)
     span = c > 0.0
@@ -282,35 +239,38 @@ def _descend(fam, k, x):
     With t the gauge of y (first x) over the active generators and d its
     deciding normal, the untied generators are pinned at t sign(d . g) and
     the walk repeats on the tied ones, projected off d, with y/t minus the
-    pinned sum; an independent tied set ends it with one linear solve.
-    The first level reads the family's stage-k normals, deeper ones call
-    hform on the tied rows. A gauge within the rounding bound of 1 counts
-    as 1, so noise along a thin facet does not rescale the inputs.
-    Rounding-level generators (as in
-    zonotope._span) get input 0 and stay free; the free mask adds the
-    active generators of the first level whose gauge is more than
-    BOUNDARY_TOL below 1. The witness must replay within lp.RESIDUAL_TOL
-    on the equations and the box, or InternalError.
+    pinned sum; an independent tied set ends it with one linear solve. A
+    normal that ties every active generator (a rounding-level direction
+    of the span) is skipped. The first level reads the family's stage-k
+    normals, deeper ones call hform on the tied rows. A gauge within the
+    rounding bound of 1 counts as 1, so noise along a thin facet does not
+    rescale the inputs. Generators that are not live (zonotope._spans) get
+    input 0 and stay free; the free mask adds the active generators of the
+    first level whose gauge is more than BOUNDARY_TOL below 1. The witness
+    must replay within lp.RESIDUAL_TOL on the equations and the box, or
+    InternalError.
     """
     rows = fam.rows[: k * fam.r]
     m, n = rows.shape
     norms = np.linalg.norm(rows, axis=1)
-    tiny = norms <= TIE_TOL * max(1.0, float(np.abs(rows).max()))
+    tiny = ~fam.live[: k * fam.r]
     c = fam.supports[:, k - 1]
     use = (c > 0.0) & (c < math.inf)
     dirs, sup = fam.dirs[use], c[use]
     u, y, scale, free = np.zeros(m), x, 1.0, None
     active = np.flatnonzero(~tiny)
     flat = rows[active]
-    while active.size:
-        if active.size == 1 or (active.size <= n and _rank(flat) == active.size):
-            u[active] = scale * np.linalg.lstsq(rows[active].T, y, rcond=None)[0]
-            break
+    while active.size > 1 and not (
+        active.size <= n and _spans(flat)[2][-1] == active.size
+    ):
         if dirs is None:
             form = hform(flat)
             dirs, sup = form.normals, form.supports
         dy = dirs @ y
-        i = int(np.argmax(np.abs(dy) / sup))
+        facet = (np.abs(dirs @ flat.T) > TIE_TOL * norms[active]).any(axis=1)
+        if not facet.any():
+            break
+        i = int(np.argmax(np.where(facet, np.abs(dy) / sup, -1.0)))
         t = abs(float(dy[i])) / sup[i]
         if abs(abs(dy[i]) - sup[i]) <= m * EPS * (np.abs(dirs[i]) @ np.abs(y) + sup[i]):
             t = 1.0
@@ -327,6 +287,7 @@ def _descend(fam, k, x):
         y = y / t - signs @ rows[active[~tied]]
         scale *= t
         active, flat, dirs = active[tied], flat[tied] - np.outer(proj[tied], d), None
+    u[active] = scale * np.linalg.lstsq(rows[active].T, y, rcond=None)[0]
     # a faint generator can take rounding noise for its input: bring it
     # back into the box where that moves the state by a rounding amount
     excess = np.abs(u) - 1.0
@@ -357,7 +318,7 @@ def _strategy_dim(fam, x, gauge, walk=None):
     rows = fam.rows
     m, k = rows.shape[0], rows.shape[0] // fam.r
     if 1.0 - gauge > BOUNDARY_TOL:
-        return m - fam.rank
+        return m - int(fam.dims[-1])
     if fam.has_normals(k):
         free = (walk or _descend(fam, k, x))[1]
     else:
@@ -368,7 +329,8 @@ def _strategy_dim(fam, x, gauge, walk=None):
             lo = lp.optimize(_box_lp(rows, x, c), sense="min").value
             hi = lp.optimize(_box_lp(rows, x, c), sense="max").value
             free[j] = (hi - lo) > STRICT_TOL
-    return int(free.sum()) - _rank(rows[free]) if free.any() else 0
+    # rows that are not live (input 0 in the descent) add no rank
+    return int(free.sum()) - int(_spans(rows[free & fam.live])[2][-1])
 
 
 def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS):

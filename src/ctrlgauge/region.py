@@ -22,7 +22,7 @@ from .errors import (
     UnstableGrowth,
 )
 from .model import validate
-from .zonotope import Zonotope, _rank
+from .zonotope import Zonotope, _spans
 
 GROWTH_LIMIT = 1e12
 
@@ -121,7 +121,7 @@ def controllability_report(sys, horizon):
     """Rank of the controllability matrix and Grammian extreme eigenvalue.
 
     Requires horizon >= n so the rank verdict is meaningful. The rank is
-    evaluated at tolerance 1e-9; the Grammian is P P^T for
+    the regions' span rule's (zonotope._spans); the Grammian is P P^T for
     P = [B, AB, ..., A^(horizon-1) B].
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
@@ -131,9 +131,8 @@ def controllability_report(sys, horizon):
             f"horizon {horizon} is below the state dimension {sys.n}"
         )
     rows = stage_generators(sys, horizon, RegionKind.REACH)
-    p = rows.T  # n x (horizon * r)
-    rank = _rank(p)
-    grammian = p @ p.T
+    rank = Zonotope(rows).rank()
+    grammian = rows.T @ rows
     min_eig = float(np.linalg.eigvalsh(grammian)[0])
     return ControllabilityReport(
         rank_pn=rank,
@@ -174,7 +173,7 @@ def expansion_check(family, stage_from, stage_to):
     generators added between the stages span the full state space. When
     they do not, any direction orthogonal to all added generators keeps
     the support unchanged, so the two stage boundaries touch; one such
-    witness direction is returned with its (zero) support gap.
+    witness direction (from _spans) is returned with its (zero) gap.
     """
     if (
         not isinstance(stage_from, (int, np.integer))
@@ -189,7 +188,8 @@ def expansion_check(family, stage_from, stage_to):
     big = family.stage(stage_to).generators
     added = big[stage_from * r : stage_to * r]
     n = big.shape[1]
-    added_rank = _rank(added)
+    _, basis, dims = _spans(added)
+    added_rank = int(dims[-1])
     if added_rank == n:
         return ExpansionReport(
             verdict="StrictlyExpanding",
@@ -199,8 +199,7 @@ def expansion_check(family, stage_from, stage_to):
             stage_from=int(stage_from),
             stage_to=int(stage_to),
         )
-    _, _, vt = np.linalg.svd(added, full_matrices=True)
-    witness = vt[-1]
+    witness = basis[-1]
     gap = family.stage(stage_to).support(witness) - family.stage(
         stage_from
     ).support(witness)

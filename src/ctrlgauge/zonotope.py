@@ -18,11 +18,13 @@ Vertex enumeration never walks all 2^m sign patterns:
   n-1 tied generators is a parallelotope whose corners are read off one
   sign table, and every other facet is enumerated in its own hyperplane
   by the same routine. Lower-rank zonotopes are flattened onto their span
-  first.
+  first; every vertex is a sum of the generators themselves.
 
-Membership, gauges and containment all read one rank-aware H-form
-(hform): the complement of the generators' span, unit facet normals in
-it, and their supports.
+One span rule (_spans) decides every span and rank, here and in region
+and control; its decision about the first j generators reads those j
+only, so nested stages have nested spans. Membership, gauges and
+containment all read one rank-aware H-form (hform): the complement of
+the generators' span, unit facet normals in it, and their supports.
 
 Shape factors come from volumes: the area of a 2-D coordinate projection
 is the volume of the projected generators, so the planar factors share
@@ -38,7 +40,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +56,8 @@ from .errors import (
 )
 
 DEDUP_TOL = 1e-9
-RANK_TOL = 1e-9
 TIE_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
 MAX_GENERATORS = 20
 # subsets Zonotope.volume sums at most; a 50-step stage in R^3 has 19 600
 MAX_VOLUME_SUBSETS = 2_000_000
@@ -99,8 +103,13 @@ class Zonotope:
             raise ZeroDirection("direction must be nonzero and finite")
         return float(np.abs(self.generators @ d).sum())
 
+    @cached_property
+    def _span_rule(self):
+        return _spans(self.generators)
+
     def rank(self):
-        return _rank(self.generators)
+        """Dimension of the generators' span under the span rule (_spans)."""
+        return int(self._span_rule[2][-1])
 
     def vertices(self):
         """All vertices as rows, deduplicated at 1e-9, lexicographically sorted.
@@ -113,7 +122,8 @@ class Zonotope:
             raise TooManyGenerators(
                 f"{self.m} generators exceed the enumeration cap {MAX_GENERATORS}"
             )
-        return _vertices(self.generators)
+        G = self.generators
+        return _dedup_rows(_vertex_signs(G, self._span_rule) @ G)
 
     def volume(self):
         """Exact volume 2^n * sum over n-subsets of |det|; 0 when flat.
@@ -123,7 +133,7 @@ class Zonotope:
         of about CHUNK_BYTES.
         """
         m, n = self.m, self.n
-        if m < n or _rank(self.generators) < n:
+        if m < n or self.rank() < n:
             return 0.0
         count = math.comb(m, n)
         if count > MAX_VOLUME_SUBSETS:
@@ -150,9 +160,7 @@ class Zonotope:
         """
         axes = _check_axes(axes, self.n)
         pgens = self.generators[:, list(axes)]
-        scale = max(1.0, float(np.abs(pgens).max(initial=0.0)))
-        keep = np.linalg.norm(pgens, axis=1) > TIE_TOL * scale
-        pgens = pgens[keep]
+        pgens = pgens[_spans(pgens)[0]]
         if pgens.shape[0] == 0:
             return Polygon2D(points=np.zeros((1, 2)), degenerate=True, axes=axes)
         pts = _planar_vertex_signs(pgens) @ pgens
@@ -168,7 +176,7 @@ class Zonotope:
         """
         G = self.generators
         n = self.n
-        rank = _rank(G)
+        rank = self.rank()
         half = np.abs(G).sum(axis=0)
         side_lengths = 2.0 * half
         vol = self.volume()
@@ -249,11 +257,52 @@ def polygon_area(poly):
 # --- vertex enumeration internals -------------------------------------------
 
 
-def _rank(G):
-    s = np.linalg.svd(np.asarray(G, dtype=float), compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > RANK_TOL * max(1.0, float(s[0]))))
+def _spans(rows):
+    """The span rule for generator rows taken in order: (live, basis, dims).
+
+    Row j is live when its norm is above TIE_TOL times the largest entry of
+    rows[:j+1] (or 1), and adds a direction when its Gram-Schmidt residual
+    off the directions before it is above the same threshold. The span of
+    rows[:j] has dimension dims[j]; orthonormal basis[:dims[j]] spans it,
+    basis[dims[j]:] its complement."""
+    m, n = rows.shape
+    # plain floats: on vectors this short they beat numpy calls
+    peak, live, basis, dims = 1.0, [], [], [0]
+    for row in rows.tolist():
+        if len(basis) == n:
+            break
+        peak = max(peak, max(map(abs, row)))
+        zero, size = TIE_TOL * peak, math.sqrt(sum(map(operator.mul, row, row)))
+        live.append(size > zero)
+        if size > zero:
+            res, left = _residual(row, basis)
+            if left > zero:
+                if left < 0.5 * size:  # cancellation: orthogonalize again
+                    res, left = _residual(res, basis)
+                basis.append([x / left for x in res])
+        dims.append(len(basis))
+    if len(live) < m:
+        # the span is R^n: only liveness is left, in one numpy pass
+        rest = rows[len(live) :]
+        peaks = np.maximum.accumulate(np.maximum(np.abs(rest).max(axis=1), peak))
+        live += (np.sqrt(np.einsum("ij,ij->i", rest, rest)) > TIE_TOL * peaks).tolist()
+        dims += [n] * len(rest)
+    # complete with the unit vector farthest from the span so far
+    lev = [sum(b[i] * b[i] for b in basis) for i in range(n)]
+    while len(basis) < n:
+        i = lev.index(min(lev))
+        res, left = _residual([float(k == i) for k in range(n)], basis)
+        basis.append([x / left for x in res])
+        lev = [v + x * x for v, x in zip(lev, basis[-1])]
+    return np.array(live), np.array(basis), np.array(dims)
+
+
+def _residual(row, basis):
+    """(row less its projections on the orthonormal basis rows, its norm)."""
+    for b in basis:
+        c = sum(map(operator.mul, b, row))
+        row = [x - c * y for x, y in zip(row, b)]
+    return row, math.sqrt(sum(map(operator.mul, row, row)))
 
 
 def _check_axes(axes, n):
@@ -331,8 +380,8 @@ def _planar_vertex_signs(pgens):
     return np.concatenate([chain, -chain]) * flip
 
 
-def _facet_walk_vertices(gens):
-    """Vertex candidates of a full-rank zonotope in R^n, n >= 3.
+def _facet_walk_signs(gens):
+    """Vertex sign rows of a full-rank zonotope in R^n, n >= 3.
 
     Every vertex lies on a facet, and every facet normal is among the
     (n-1)-subset normals of _facet_normals. Along a unit normal d a facet
@@ -340,10 +389,11 @@ def _facet_walk_vertices(gens):
     of the tied ones, |d . g| <= TIE_TOL |g|. A simple facet has n-1 tied
     generators and is a parallelotope, so its corners are sign patterns;
     they are kept as bit codes (bit j set for +g_j), which merge repeated
-    corners exactly. Every other facet is enumerated in its own hyperplane
-    by _vertices, once per tied set; so is the lower-dimensional face of a
-    normal too inexact to tie its own generators (a nearly parallel
-    pair's), down to a single vertex when nothing is tied.
+    corners exactly. Every other facet is enumerated by _vertex_signs, once
+    per tied set, with the tied generators projected into its hyperplane;
+    so is the lower-dimensional face of a normal too inexact to tie its own
+    generators (a nearly parallel pair's), down to a single vertex when
+    nothing is tied.
 
     Raises TooManyGenerators past MAX_PATTERN_ROWS corner patterns,
     counted before anything is built; the codes are built in chunks of
@@ -362,9 +412,10 @@ def _facet_walk_vertices(gens):
     bits = np.left_shift(1, np.arange(m, dtype=np.int64))
     corners = (np.arange(1 << (n - 1))[:, np.newaxis] >> np.arange(n - 1)) & 1
     chunk = max(1, CHUNK_BYTES // (8 * (m + corners.shape[0])))
-    codes, facet_sets, facet_bases = [], [], []
+    codes, facet_sets, facet_normals = [], [], []
     for start in range(0, normals.shape[0], chunk):
-        dots = normals[start : start + chunk] @ unit.T
+        block = normals[start : start + chunk]
+        dots = block @ unit.T
         tied = np.abs(dots) <= TIE_TOL
         up = ((dots > 0.0) & ~tied) @ bits
         simple = tied.sum(axis=1) == n - 1
@@ -372,40 +423,41 @@ def _facet_walk_vertices(gens):
         codes.append(np.unique(up[simple, np.newaxis] + bits[cols] @ corners.T))
         other = ~simple
         facet_sets.append(tied[other] @ bits)
-        facet_bases.append(np.where(tied[other], 0.0, np.sign(dots[other])) @ gens)
+        facet_normals.append(block[other])
     codes = np.concatenate(codes)
     codes = np.unique(np.concatenate([codes, codes ^ ((1 << m) - 1)]))
-    signs = ((codes[:, np.newaxis] >> np.arange(m)) & 1) * 2.0 - 1.0
-    pts = [signs @ gens]
+    signs = [((codes[:, np.newaxis] >> np.arange(m)) & 1) * 2.0 - 1.0]
     facet_sets, first = np.unique(np.concatenate(facet_sets), return_index=True)
-    facet_bases = np.concatenate(facet_bases)[first]
-    for code, base in zip(facet_sets, facet_bases):
-        face = _vertices(gens[(code >> np.arange(m)) & 1 == 1])
-        pts += [base + face, face - base]
-    return np.vstack(pts)
+    for code, d in zip(facet_sets, np.concatenate(facet_normals)[first]):
+        tied = (code >> np.arange(m)) & 1 == 1
+        base = np.where(tied, 0.0, np.sign(unit @ d))
+        # tied generators only, put into the facet's plane they may leave
+        flat = np.where(tied[:, np.newaxis], gens - np.outer(gens @ d, d), 0.0)
+        face = _vertex_signs(flat, _spans(flat))
+        signs += [base + face, face - base]
+    return np.vstack(signs)
 
 
-def _vertices(G):
-    scale = max(1.0, float(np.abs(G).max(initial=0.0)))
-    n = G.shape[1]
-    gens = G[np.linalg.norm(G, axis=1) > TIE_TOL * scale]
-    if gens.shape[0] == 0:
-        return np.zeros((1, n))
-    rank = _rank(gens)
+def _vertex_signs(G, spans):
+    """Sign rows s, 0 where a row is not live, with the vertex candidates
+    of G's zonotope at s @ G (sums of the generators), given _spans(G)."""
+    live, basis, dims = spans
+    gens, rank, n = G[live], dims[-1], G.shape[1]
+    if rank == 0:
+        return np.zeros((1, len(G)))
     if rank < n:
-        # flatten onto the row space, enumerate there, lift back
-        _, _, vt = np.linalg.svd(gens, full_matrices=False)
-        basis = vt[:rank]
-        reduced = _vertices(gens @ basis.T)
-        return _dedup_rows(reduced @ basis)
-    if n == 1:
-        s = float(np.abs(gens).sum())
-        return np.asarray([[-s], [s]])
-    if n == 2:
-        pts = _planar_vertex_signs(gens) @ gens
+        # flatten onto the span and enumerate there
+        flat = gens @ basis[:rank].T
+        signs = _vertex_signs(flat, _spans(flat))
+    elif n == 1:
+        signs = np.sign(gens.T) * np.array([[-1.0], [1.0]])
+    elif n == 2:
+        signs = _planar_vertex_signs(gens)
     else:
-        pts = _facet_walk_vertices(gens)
-    return _dedup_rows(pts)
+        signs = _facet_walk_signs(gens)
+    out = np.zeros((len(signs), len(G)))
+    out[:, live] = signs
+    return out
 
 
 # --- H-representation and membership -----------------------------------------
@@ -426,43 +478,28 @@ class HForm:
     supports: np.ndarray
 
 
-def _span(gens):
-    """(nonzero rows, singular values, rank, vt) of the rows of gens.
-
-    vt[:rank] spans the rows and vt[rank:] is the complement. Rows at most
-    TIE_TOL times the largest entry (or 1) count as zero. The span keeps
-    every singular direction above rounding level (TIE_TOL, not RANK_TOL),
-    so a thin but solid zonotope is not flattened.
-    """
-    gens = np.asarray(gens, dtype=float)
-    scale = max(1.0, float(np.abs(gens).max(initial=0.0)))
-    gens = gens[np.linalg.norm(gens, axis=1) > TIE_TOL * scale]
-    _, s, vt = np.linalg.svd(gens, full_matrices=True)
-    return gens, s, int(np.sum(s > TIE_TOL * max(1.0, float(s.max(initial=0.0))))), vt
-
-
 def hform(gens):
     """H-form of the zonotope generated by the rows of gens.
 
-    Facet normals are computed in the generators' span (_span) and lifted
+    Facet normals are computed in the generators' span (_spans) and lifted
     back, so flat zonotopes keep exact facets there; the supports sum over
     every row. Raises TooManyGenerators when the span has dimension 4 or
-    more and there are more than MAX_GENERATORS nonzero generators.
+    more and there are more than MAX_GENERATORS live generators.
     """
     gens = np.asarray(gens, dtype=float)
-    live, _, rank, vt = _span(gens)
-    basis = vt[:rank]
-    normals = _facet_normals(live @ basis.T) @ basis if rank else vt[:0]
+    live, basis, dims = _spans(gens)
+    span = basis[: dims[-1]]
+    normals = _facet_normals(gens[live] @ span.T) @ span if len(span) else span
     # every row counts in the supports, rounding-level ones included: a row
     # the span drops can still weigh on a thin facet
     supports = np.abs(normals @ gens.T).sum(axis=1)
-    return HForm(vt[rank:], normals, supports)
+    return HForm(basis[dims[-1] :], normals, supports)
 
 
 def _normals_capped(m, rank):
-    """Whether hform raises TooManyGenerators for m nonzero generators
-    spanning rank dimensions."""
-    return rank >= 4 and m > MAX_GENERATORS
+    """Whether hform raises TooManyGenerators for m live generators
+    spanning rank dimensions; elementwise on arrays."""
+    return (rank >= 4) & (m > MAX_GENERATORS)
 
 
 def _facet_normals(gens):
@@ -523,7 +560,8 @@ def contains_point(z, point, tol=DEDUP_TOL):
     hf = hform(z.generators)
     if np.linalg.norm(hf.complement @ x) > tol:
         return False
-    return bool(np.all(np.abs(hf.normals @ x) <= hf.supports + tol))
+    rounding = z.m * EPS * (np.abs(hf.normals) @ np.abs(x) + hf.supports)
+    return bool(np.all(np.abs(hf.normals @ x) <= hf.supports + tol + rounding))
 
 
 # --- polygon exports ---------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import AC_MODEL, DC_MODEL, make_system
@@ -32,9 +32,9 @@ from ctrlgauge import (
 )
 from ctrlgauge import control, lp
 from ctrlgauge.control import EPS, GAUGE_TOL, _descend, _family, _stage_gauges
-from ctrlgauge.errors import InternalError
-from ctrlgauge.zonotope import _rank, hform
-from polytope_enum import affine_dim
+from ctrlgauge.errors import CtrlGaugeError, InternalError, UnstableGrowth
+from ctrlgauge.zonotope import _spans, hform
+from polytope_enum import _rank, affine_dim
 
 
 def _brute_contained(fam_inner, fam_outer):
@@ -235,7 +235,7 @@ def _own_stage_gauge(rows, x):
     """Gauge of x from the stage's own H-form alone, one hform per stage."""
     hf = hform(rows)
     off = hf.complement @ x
-    if off.size and np.abs(off).max() > GAUGE_TOL * max(1.0, np.abs(x).max()):
+    if np.linalg.norm(off) > GAUGE_TOL * max(1.0, np.linalg.norm(x)):
         return math.inf
     dx = np.abs(hf.normals @ x)
     if not dx.size:
@@ -274,6 +274,18 @@ def _assert_family_matches_own_stages(rows, r, states, rel=1e-8):
                 assert d is None
 
 
+def _thin_system(eps):
+    # reach stages are solid but thin: about eps wide across their length
+    return LdtSystem(name="thin", A=np.array([[0.9, 0.2], [0.0, 0.5]]),
+                     B=np.array([[1.0], [eps]]))
+
+
+def _rank_drop_system():
+    # its late stages are 1e-13 thin: the smallest singular value of stage
+    # 14 falls under TIE_TOL times the largest
+    return LdtSystem(name="d", A=np.diag([10.0, 0.5]), B=np.full((2, 1), 1e-3))
+
+
 class TestFamilyGauge:
     # one H-form per run of stages and cumulative supports must give every
     # stage the gauge that stage's own H-form gives
@@ -300,6 +312,15 @@ class TestFamilyGauge:
         picked = [states[i] for i in rng.choice(len(states), 24)]
         _assert_family_matches_own_stages(rows, 1, picked)
 
+    @pytest.mark.parametrize("sys_, horizon", [
+        (_thin_system(1e-9), 8), (_thin_system(1e-10), 8), (_rank_drop_system(), 16),
+    ])
+    def test_thin_and_rank_drop_families(self, sys_, horizon):
+        rows = stage_generators(sys_, horizon, RegionKind.REACH)
+        pushed = rows[0] + rows[1] + 1e-4 * np.array([1.0, -1.0])
+        states = _stage_states(rows, 1, np.random.default_rng(6)) + [pushed]
+        _assert_family_matches_own_stages(rows, 1, states)
+
     def test_leaky_uncontrollable_families(self):
         # B lies in an invariant plane of A, but rounding leaks the later
         # generators out of it (up to about 1e-8): stages of one span
@@ -321,9 +342,10 @@ class TestFamilyGauge:
 
 
 class TestUnstableFamily:
-    # entries grow to about 1e10, so the early generators fall under the
+    # entries grow to about 1e10, so the early generators are far under the
     # rounding threshold of the late stages (TIE_TOL times the largest
-    # entry); the stages that still count them must keep their facets
+    # entry); each generator is judged on its own prefix, so the stages
+    # keep its facets
     A = np.diag([10.0, 3.0])
     B = np.array([[1e-3], [1e-3]])
 
@@ -346,6 +368,14 @@ class TestUnstableFamily:
         sol = min_time(sys_, x, max_steps=14)
         assert sol.min_steps == 3
         assert np.allclose(simulate(sys_, np.zeros(2), sol.inputs)[-1], x, atol=1e-12)
+
+    def test_rank_drop_keeps_the_answer(self):
+        # stage 2 already spans R^2, so no later stage may lose a direction
+        sys_ = _rank_drop_system()
+        g = stage_generators(sys_, 2, RegionKind.REACH)
+        x = g[0] + g[1] + 1e-4 * np.array([1.0, -1.0])
+        steps = [min_time(sys_, x, max_steps=cap).min_steps for cap in range(3, 17)]
+        assert steps == [3] * 14
 
     def test_containment_keeps_the_early_facets(self):
         # the inner stages are segments [-x, x] from stage 2 on, with x
@@ -381,17 +411,17 @@ class TestUnstableFamily:
 
 
 class TestHformCalls:
-    # hform runs once per run of stages (same span dimension, no generator
-    # falling to rounding level inside the run), never per stage, per state
-    # or per sample
+    # a family builds facet normals once per run of stages (same span
+    # dimension), never per stage, per state or per sample
     def _count(self, monkeypatch):
         calls = []
+        build = control._facet_normals
 
         def counted(gens):
             calls.append(np.asarray(gens).shape[0])
-            return hform(gens)
+            return build(gens)
 
-        monkeypatch.setattr(control, "hform", counted)
+        monkeypatch.setattr(control, "_facet_normals", counted)
         return calls
 
     def test_full_rank_first_stage_builds_one_form(self, monkeypatch, rng):
@@ -453,7 +483,9 @@ class TestStrategySpaceDim:
 
 
 def _lp_sweep_dim(rows, x):
-    """Strategy dimension from the 2m-LP range sweep, as a reference."""
+    """Strategy dimension from the 2m-LP range sweep, as a reference; the
+    free rows are ranked as affine_dim ranks, so rounding-level rows count
+    as zero."""
     m = rows.shape[0]
     free = np.zeros(m, dtype=bool)
     for j in range(m):
@@ -574,6 +606,32 @@ class TestFaceDescent:
         assert free.tolist() == [False, True, False, True]
         assert np.allclose(rows.T @ u, [2.0, 0.5], atol=1e-12)
 
+    def test_skips_rounding_level_normals(self):
+        # B in an invariant plane of A: rounding leaks the generators out
+        # of it along one line, so stage 10's span has a fourth direction
+        # only by rounding, and some of its subset normals tie every
+        # generator. Picking one pinned nothing, and the walk never ended.
+        A = np.array([
+            [4.827258728999159, 0.7790169547317864, 1.8710136637063208,
+             5.265171966650419],
+            [-0.28006058932407546, -0.8606293092691548, -0.20261231065527996,
+             -0.08080922467876127],
+            [0.9232554651505713, -0.0182039094951285, -0.3954637947669632,
+             0.9970003053492704],
+            [4.4407319984408105, 0.7925052420292643, 1.461590582100757,
+             2.63611979990572],
+        ])
+        B = np.array([[-4.1107836997998843e-04], [-5.2244039876159964e-01],
+                      [8.3417920962319991e-01], [-2.2689450483480225e-01]])
+        u = np.array([-0.5318462951837988, 0.6360085989837876, -0.9733069404077219,
+                      -0.6857825248670222, 0.14911458778796227, 0.952424170258245,
+                      -0.15282632116323214, -0.42210675715643275, -0.07898456549671762,
+                      0.18823036867252063])
+        sys_ = LdtSystem(name="leak", A=A, B=B)
+        x = stage_generators(sys_, 10, RegionKind.REACH).T @ u
+        sol = min_time(sys_, x, max_steps=10)
+        assert np.abs(simulate(sys_, np.zeros(4), sol.inputs)[-1] - x).max() <= 1e-7
+
     def test_failed_replay_raises(self, monkeypatch):
         # the walk's witness is replayed like an LP witness
         sys_ = make_system(np.random.default_rng(2), 3, r=1)
@@ -604,6 +662,119 @@ class TestFaceDescent:
             kind = RegionKind.REACH
         self._check(sys_, kind, horizon, where, rng, enumerate_=horizon * r <= 6,
                     reference=_lp_sweep_dim_or_reject)
+
+
+THIN_CASES = [(eps, n) for eps in (1e-6, 1e-8, 1e-9, 1e-10) for n in (3, 5, 8)]
+
+
+def _stiff_system(rng, n, r, style):
+    """|lambda| from 1e-3 to 10, both ends present, in a random orthonormal
+    frame; B is 1e-4 to 1 in size. parallel and tiny act on B's second
+    column (r = 2): parallel to the first, or 1e-14 times a random one."""
+    mags = np.concatenate([[1e-3, 10.0], 10.0 ** rng.uniform(-3.0, 1.0, n - 2)])
+    T = np.diag(mags * rng.choice([-1.0, 1.0], n))
+    T += np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    B = rng.uniform(-1.0, 1.0, (n, r)) * 10.0 ** -rng.uniform(0.0, 4.0)
+    if style == "parallel":
+        B[:, 1] = -1.7 * B[:, 0]
+    elif style == "tiny":
+        B[:, 1] *= 1e-14
+    return LdtSystem(name=style, A=Q @ T @ Q.T, B=B)
+
+
+class TestOneSpanRule:
+    # one span rule (zonotope._spans) for vertices, rank, volume, the
+    # families and the strategy dimension
+
+    @pytest.mark.parametrize("eps, horizon", THIN_CASES)
+    def test_thin_stage_is_solid(self, eps, horizon):
+        sys_ = _thin_system(eps)
+        rows = stage_generators(sys_, horizon, RegionKind.REACH)
+        z = Zonotope(rows)
+        assert z.rank() == 2
+        assert z.volume() > 0.0
+        verts = z.vertices()
+        assert len(verts) == 2 * horizon
+        for v in verts:
+            # every vertex is a member at its own horizon (a flat earlier
+            # stage may hold it within GAUGE_TOL)
+            sol = min_time(sys_, v, max_steps=horizon)
+            traj = simulate(sys_, np.zeros(2), sol.inputs)
+            assert np.abs(traj[-1] - v).max() <= 1e-7
+
+    @pytest.mark.parametrize("eps, horizon", THIN_CASES)
+    def test_thin_strategy_dim(self, eps, horizon):
+        # interior: every input is free, less the two equations
+        sys_ = _thin_system(eps)
+        x = 0.3 * stage_generators(sys_, horizon, RegionKind.REACH).sum(axis=0)
+        assert strategy_space_dim(sys_, x, horizon) == horizon - 2
+        assert min_time(sys_, x, max_steps=horizon).strategy_dim == horizon - 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        r=st.integers(1, 2),
+        horizon=st.integers(2, 14),
+        recover=st.booleans(),
+        style=st.sampled_from(["plain", "parallel", "tiny"]),
+    )
+    # a 4-D stage whose thinnest width (2e-9) is below the rounding of d . x
+    @example(seed=50000, n=4, r=1, horizon=12, recover=False, style="plain")
+    # a 4-D stage whose every 3-subset is too ill-conditioned for a normal:
+    # DegenerateZonotope
+    @example(seed=33250, n=4, r=1, horizon=4, recover=True, style="tiny")
+    def test_property_stiff_systems(self, seed, n, r, horizon, recover, style):
+        rng = np.random.default_rng(seed)
+        if style != "plain":
+            r = 2
+        # recover stages grow about 1e3 per step, past GROWTH_LIMIT soon
+        horizon = min(horizon, 20 // r, 4 if recover else 14)
+        sys_ = _stiff_system(rng, n, r, style)
+        kind = RegionKind.RECOVER if recover else RegionKind.REACH
+        try:
+            rows = stage_generators(sys_, horizon, kind)
+        except UnstableGrowth:
+            return
+        norms = np.linalg.norm(rows, axis=1)
+        assume(norms.max() > 1e10 * norms[norms > 0.0].min())
+        m = rows.shape[0]
+        live, basis, dims = _spans(rows)
+        assert np.all(np.diff(dims) >= 0)
+        # the prefix property: each stage alone decides the spans of the
+        # whole family, so the spans of the stages are nested
+        for k in range(1, horizon + 1):
+            own_live, own_basis, own_dims = _spans(rows[: k * r])
+            assert np.array_equal(own_live, live[: k * r])
+            assert np.array_equal(own_dims, dims[: k * r + 1])
+            d = own_dims[-1]
+            span = own_basis[:d]
+            assert np.abs(span - span @ basis[:d].T @ basis[:d]).max() <= 1e-9
+            assert Zonotope(rows[: k * r]).rank() == own_dims[-1]
+        try:
+            fam = _family(rows, r)
+            assert np.array_equal(fam.dims, dims)
+            verts = Zonotope(rows).vertices()
+            for v in verts:
+                assert next(_stage_gauges(fam, v, horizon))[0] <= 1.0
+            # an interior state: every input free, less the span's dimension.
+            # Where float64 cannot resolve x along a facet thinner than the
+            # rounding of d . x, the gauge reads 1 and the descent pins
+            # inputs, so the dimension can only come out lower.
+            x = rows.T @ rng.uniform(-0.5, 0.5, m)
+            gauge = next(_stage_gauges(fam, x, horizon))[0]
+            dim = strategy_space_dim(sys_, x, horizon, kind=kind)
+            sol = min_time(sys_, x, kind=kind, max_steps=horizon)
+            assert sol.strategy_dim == dim
+            if gauge < 1.0:
+                assert dim == m - dims[-1]
+            else:
+                assert gauge == 1.0 and dim <= m - dims[-1]
+        except (NotMember, NotReachable):
+            raise
+        except CtrlGaugeError:
+            pass  # a typed refusal is an answer; a wrong number is not
 
 
 class TestZeroLp:

@@ -41,7 +41,7 @@ from ctrlgauge.zonotope import (
     MAX_VOLUME_SUBSETS,
     _dedup_rows,
     _facet_normals,
-    _facet_walk_vertices,
+    _facet_walk_signs,
     hform,
 )
 
@@ -432,8 +432,11 @@ class TestHForm:
         assert hf.normals.shape == (0, 2)
 
     def test_thin_solid_body_keeps_its_facets(self):
-        # aspect ratio 1e-10: flat for vertex enumeration, solid here
+        # aspect ratio 1e-10: solid for the span rule, so for the H-form and
+        # the vertex enumeration alike
         z = Zonotope([[1e5, 0.0], [0.0, 1e-5]])
+        assert z.rank() == 2
+        assert z.vertices().shape == (4, 2)
         hf = hform(z.generators)
         assert hf.complement.shape == (0, 2)
         assert contains_point(z, [0.0, 0.5e-5], tol=0.0)
@@ -485,7 +488,7 @@ class TestDedup:
     def test_facet_walk_vertices_unchanged(self, rng):
         gens = rng.uniform(-1, 1, size=(8, 3))
         gens[2] = gens[0] + 0.5 * gens[1]  # non-simple facets repeat corners
-        raw = _facet_walk_vertices(gens)
+        raw = _facet_walk_signs(gens) @ gens
         assert _dedup_rows(raw).shape[0] < raw.shape[0]
         assert _dedup_rows(raw).tobytes() == quadratic_dedup(raw).tobytes()
 
@@ -524,8 +527,8 @@ class TestContainsPoint:
 
     def test_rounding_level_generators_count_in_the_supports(self):
         # stage 14 of A = diag(10, 3), B = 1e-3 (1, 1): the first generator
-        # is under the span's rounding level, yet weighs 1.6e-6 of the
-        # support along the thin facet
+        # is 1e-13 of the largest entry, yet weighs 1.6e-6 of the support
+        # along the thin facet
         sys_ = LdtSystem(name="u", A=np.diag([10.0, 3.0]), B=np.full((2, 1), 1e-3))
         rows = stage_generators(sys_, 14, RegionKind.REACH)
         z = Zonotope(rows)
