@@ -131,7 +131,7 @@ def controllability_report(sys, horizon):
             f"horizon {horizon} is below the state dimension {sys.n}"
         )
     rows = stage_generators(sys, horizon, RegionKind.REACH)
-    rank = Zonotope(rows).rank()
+    rank = int(_spans(rows)[2][-1])
     grammian = rows.T @ rows
     min_eig = float(np.linalg.eigvalsh(grammian)[0])
     return ControllabilityReport(
@@ -190,24 +190,16 @@ def expansion_check(family, stage_from, stage_to):
     n = big.shape[1]
     _, basis, dims = _spans(added)
     added_rank = int(dims[-1])
-    if added_rank == n:
-        return ExpansionReport(
-            verdict="StrictlyExpanding",
-            added_rank=added_rank,
-            witness_direction=None,
-            support_gap=None,
-            stage_from=int(stage_from),
-            stage_to=int(stage_to),
-        )
-    witness = basis[-1]
-    gap = family.stage(stage_to).support(witness) - family.stage(
-        stage_from
-    ).support(witness)
+    witness = basis[-1] if added_rank < n else None
+    gap = None
+    if witness is not None:
+        gap = float(family.stage(stage_to).support(witness)
+                    - family.stage(stage_from).support(witness))
     return ExpansionReport(
-        verdict="WeaklyExpanding",
+        verdict="StrictlyExpanding" if witness is None else "WeaklyExpanding",
         added_rank=added_rank,
         witness_direction=witness,
-        support_gap=float(gap),
+        support_gap=gap,
         stage_from=int(stage_from),
         stage_to=int(stage_to),
     )

@@ -21,8 +21,10 @@ Vertex enumeration never walks all 2^m sign patterns:
   first; every vertex is a sum of the generators themselves.
 
 One span rule (_spans) decides every span and rank, here and in region
-and control; its decision about the first j generators reads those j
-only, so nested stages have nested spans. Membership, gauges and
+and control: a generator counts, and adds a direction, above TIE_TOL
+times the largest generator norm before it. So its decision about the
+first j generators reads those j only, nested stages have nested spans,
+and a set's rank can depend on its generators' order. Membership, gauges and
 containment all read one rank-aware H-form (hform): the complement of
 the generators' span, unit facet normals in it, and their supports.
 
@@ -68,7 +70,11 @@ CHUNK_BYTES = 1 << 20
 
 
 class Zonotope:
-    """Origin-symmetric zonotope given by generator rows (m, n)."""
+    """Origin-symmetric zonotope given by generator rows (m, n).
+
+    Rows are read in order (_spans), so the rank can depend on it:
+    [[1e10, 0], [0, 1e-3]] has rank 1 and [[0, 1e-3], [1e10, 0]] rank 2.
+    """
 
     def __init__(self, generators):
         G = np.asarray(generators, dtype=float)
@@ -260,33 +266,26 @@ def polygon_area(poly):
 def _spans(rows):
     """The span rule for generator rows taken in order: (live, basis, dims).
 
-    Row j is live when its norm is above TIE_TOL times the largest entry of
-    rows[:j+1] (or 1), and adds a direction when its Gram-Schmidt residual
-    off the directions before it is above the same threshold. The span of
+    Row j's threshold is TIE_TOL times the largest row norm of rows[:j+1]
+    (or 1): the row is live above it, and adds a direction when its
+    Gram-Schmidt residual off the directions before it is above it too,
+    so at a sine above TIE_TOL, the tie rule of _facet_normals. The span of
     rows[:j] has dimension dims[j]; orthonormal basis[:dims[j]] spans it,
     basis[dims[j]:] its complement."""
-    m, n = rows.shape
+    n = rows.shape[1]
     # plain floats: on vectors this short they beat numpy calls
-    peak, live, basis, dims = 1.0, [], [], [0]
+    zero, live, basis, dims = TIE_TOL, [], [], [0]
     for row in rows.tolist():
-        if len(basis) == n:
-            break
-        peak = max(peak, max(map(abs, row)))
-        zero, size = TIE_TOL * peak, math.sqrt(sum(map(operator.mul, row, row)))
+        size = math.sqrt(sum(map(operator.mul, row, row)))
+        zero = max(zero, TIE_TOL * size)
         live.append(size > zero)
-        if size > zero:
+        if size > zero and len(basis) < n:
             res, left = _residual(row, basis)
             if left > zero:
                 if left < 0.5 * size:  # cancellation: orthogonalize again
                     res, left = _residual(res, basis)
                 basis.append([x / left for x in res])
         dims.append(len(basis))
-    if len(live) < m:
-        # the span is R^n: only liveness is left, in one numpy pass
-        rest = rows[len(live) :]
-        peaks = np.maximum.accumulate(np.maximum(np.abs(rest).max(axis=1), peak))
-        live += (np.sqrt(np.einsum("ij,ij->i", rest, rest)) > TIE_TOL * peaks).tolist()
-        dims += [n] * len(rest)
     # complete with the unit vector farthest from the span so far
     lev = [sum(b[i] * b[i] for b in basis) for i in range(n)]
     while len(basis) < n:
@@ -294,7 +293,7 @@ def _spans(rows):
         res, left = _residual([float(k == i) for k in range(n)], basis)
         basis.append([x / left for x in res])
         lev = [v + x * x for v, x in zip(lev, basis[-1])]
-    return np.array(live), np.array(basis), np.array(dims)
+    return np.array(live, dtype=bool), np.array(basis), np.array(dims)
 
 
 def _residual(row, basis):
@@ -408,7 +407,7 @@ def _facet_walk_signs(gens):
             f"vertex cap {MAX_PATTERN_ROWS}"
         )
     unit = gens / np.linalg.norm(gens, axis=1)[:, np.newaxis]
-    normals = _facet_normals(unit)
+    normals = _facet_normals(gens)
     bits = np.left_shift(1, np.arange(m, dtype=np.int64))
     corners = (np.arange(1 << (n - 1))[:, np.newaxis] >> np.arange(n - 1)) & 1
     chunk = max(1, CHUNK_BYTES // (8 * (m + corners.shape[0])))
@@ -509,30 +508,31 @@ def _facet_normals(gens):
     generators (n = 2), pair cross products (n = 3), and null vectors of
     (n-1)-subsets (n >= 4, capped at MAX_GENERATORS) cover them all. Extra
     non-facet normals are harmless: every support inequality is valid.
+    Generators are scaled to unit length, so subsets are independent by
+    their sines (above TIE_TOL, as in _spans); none is DegenerateZonotope.
     """
     m, n = gens.shape
     if n == 1:
         return np.ones((1, 1))
-    norms = np.linalg.norm(gens, axis=1)
+    unit = gens / np.linalg.norm(gens, axis=1)[:, np.newaxis]
     if n == 2:
-        cand = np.stack([-gens[:, 1], gens[:, 0]], axis=1)
-        return cand / norms[:, np.newaxis]
-    if n == 3:
-        i, j = np.triu_indices(m, 1)
-        d = np.cross(gens[i], gens[j])
-        nd = np.linalg.norm(d, axis=1)
-        keep = nd > TIE_TOL * norms[i] * norms[j]
-        return d[keep] / nd[keep, np.newaxis]
+        return np.stack([-unit[:, 1], unit[:, 0]], axis=1)
     if _normals_capped(m, n):
         raise TooManyGenerators(
             f"{m} generators exceed the H-representation cap {MAX_GENERATORS}"
         )
-    subsets = np.array(list(itertools.combinations(range(m), n - 1)))
-    _, s, vt = np.linalg.svd(gens[subsets], full_matrices=True)
-    keep = (s[:, 0] > 0.0) & (s[:, -1] > TIE_TOL * s[:, 0])
-    if not keep.any():
+    if n == 3:
+        i, j = np.triu_indices(m, 1)
+        d = np.cross(unit[i], unit[j])
+        nd = np.linalg.norm(d, axis=1)
+        normals = d[nd > TIE_TOL] / nd[nd > TIE_TOL, np.newaxis]
+    else:
+        subsets = np.array(list(itertools.combinations(range(m), n - 1)))
+        _, s, vt = np.linalg.svd(unit[subsets], full_matrices=True)
+        normals = vt[s[:, -1] > TIE_TOL * s[:, 0], -1]
+    if not len(normals):
         raise DegenerateZonotope("no facet normals found")
-    return vt[keep, -1]
+    return normals
 
 
 def halfspace_representation(z):

@@ -78,6 +78,16 @@ def near_duplicate_cloud(rng, m, n):
     return np.vstack([cloud, near, edge, np.round(cloud, 9)])
 
 
+def near_parallel_rows():
+    """Three rows of norm 1000 whose pairwise sines are at most 0.92e-12,
+    below TIE_TOL, though they lie farther apart than TIE_TOL times the
+    largest entry; and a unit vector e orthogonal to the first row."""
+    g1 = 1000.0 * np.ones(3) / np.sqrt(3.0)
+    e = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    f = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    return np.array([g1, g1 + 0.65e-9 * e, g1 + 0.65e-9 * f]), e
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     assert_vertex_sets_match,
     near_duplicate_cloud,
+    near_parallel_rows,
     quadratic_dedup,
     subprocess_env,
 )
@@ -448,12 +449,14 @@ class TestHForm:
         gens = rng.uniform(-1, 1, size=(9, n))
         gens[3] = 2.0 * gens[1]  # a parallel pair yields no normal
         want = []
+        # the subsets are judged on unit generators: by their angles alone
+        unit = gens / np.linalg.norm(gens, axis=1)[:, np.newaxis]
         for subset in itertools.combinations(range(9), n - 1):
-            sub = gens[list(subset)]
+            sub = unit[list(subset)]
             if n == 3:
                 d = np.cross(sub[0], sub[1])
                 nd = np.linalg.norm(d)
-                if nd > 1e-12 * np.prod(np.linalg.norm(sub, axis=1)):
+                if nd > 1e-12:
                     want.append(d / nd)
             else:
                 _, sv, vt = np.linalg.svd(sub, full_matrices=True)
@@ -463,6 +466,36 @@ class TestHForm:
         got = _facet_normals(gens)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+class TestSpanRule:
+    def test_generator_order_decides_a_thin_rank(self):
+        # rows are read in order, each against the largest row norm so far:
+        # a 1e-3 row after a 1e10 row is rounding level, while the same row
+        # first is a direction of its own
+        late = Zonotope([[1e10, 0.0], [0.0, 1e-3]])
+        early = Zonotope([[0.0, 1e-3], [1e10, 0.0]])
+        assert (late.rank(), late.volume(), len(late.vertices())) == (1, 0.0, 2)
+        assert (early.rank(), len(early.vertices())) == (2, 4)
+        assert early.volume() == pytest.approx(4e7)
+
+    def test_near_parallel_rows_span_one_direction(self):
+        # the span rule and the facet normals' sine rule agree: the rows span
+        # one direction, so the set is a segment and holds nothing off it
+        gens, e = near_parallel_rows()
+        z = Zonotope(gens)
+        assert z.rank() == 1
+        assert len(z.vertices()) == 2
+        hf = hform(gens)
+        assert hf.complement.shape == (2, 3) and hf.normals.shape == (1, 3)
+        assert contains_point(z, 2.9 * gens[0])
+        assert not contains_point(z, 3.1 * gens[0])
+        assert not contains_point(z, gens[0] + 1e-3 * e)
+
+    def test_no_independent_subset_raises(self):
+        # a full span whose pairs all tie: no normal, a typed error
+        with pytest.raises(DegenerateZonotope):
+            _facet_normals(near_parallel_rows()[0])
 
 
 class TestDedup:
