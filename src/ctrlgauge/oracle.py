@@ -13,7 +13,6 @@ internals and of chunk sizes.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .errors import (
 )
 
 _HARD_BIT_CAP = 24
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14  # samples per pass; its (samples x normals) arrays stay in cache
 
 # SplitMix64 constants: the Weyl increment and the two finalizer multipliers.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -72,17 +71,22 @@ class SplitMix64:
         self.index = 0
 
     def raw(self, count):
-        idx = np.arange(self.index + 1, self.index + count + 1, dtype=np.uint64)
+        z = np.arange(self.index + 1, self.index + count + 1, dtype=np.uint64)
         self.index += int(count)
         with np.errstate(over="ignore"):
-            z = self.seed + _GAMMA * idx
-            z = (z ^ (z >> _S30)) * _MIX1
-            z = (z ^ (z >> _S27)) * _MIX2
-            z = z ^ (z >> _S31)
+            z *= _GAMMA
+            z += self.seed
+            z ^= z >> _S30
+            z *= _MIX1
+            z ^= z >> _S27
+            z *= _MIX2
+            z ^= z >> _S31
         return z
 
     def uniforms(self, count):
-        return (self.raw(count) >> _S11).astype(np.float64) * _INV53
+        z = self.raw(count)
+        z >>= _S11
+        return z.astype(np.float64) * _INV53
 
 
 def _as_generators(z):
@@ -112,38 +116,46 @@ def _sign_sums(gens):
 def _lexsorted_unique(pts, tol=1e-9):
     """Lexsort the rows and drop each row within tol (max-norm) of a kept one.
 
-    Kept rows stay sorted by their first coordinate, so a bisection finds
-    the only ones that can lie within tol of the next row; the window is
-    widened to 2 tol so that rounding in the bound never hides a match.
+    After the sort only the rows whose first coordinate lies within 2 tol
+    below a row's own can match it (the window is widened from tol so that
+    rounding in the bound never hides a match); one sorted search finds
+    every row's window start. A row with no earlier row in its window is
+    always kept; the others, in order, are merged into the kept rows of
+    their window.
     """
     pts = np.atleast_2d(pts)
     pts = pts[np.lexsort(pts.T[::-1])]
-    kept = [0]
-    lead = [pts[0, 0]]
-    for i in range(1, pts.shape[0]):
+    lead = pts[:, 0]
+    start = np.searchsorted(lead, lead - 2.0 * tol)
+    candidates = np.flatnonzero(start < np.arange(lead.size))
+    if candidates.size == 0:
+        return pts
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for i in candidates.tolist():
+        window = pts[start[i] : i][keep[start[i] : i]]
         p = pts[i]
-        window = pts[kept[bisect.bisect_left(lead, p[0] - 2.0 * tol) :]]
-        if window.shape[0] == 0 or np.min(np.max(np.abs(window - p), axis=1)) > tol:
-            kept.append(i)
-            lead.append(p[0])
-    return pts[kept]
+        if window.shape[0] and not np.min(np.max(np.abs(window - p), axis=1)) > tol:
+            keep[i] = False
+    return pts[keep]
 
 
 def _hull2d_indices(pts):
     """Andrew monotone chain; returns indices of hull vertices, collinear
-    points dropped."""
+    points dropped. The chain runs on Python floats, the same IEEE doubles
+    as the array's, without a numpy scalar per access."""
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     sorted_pts = pts[order]
     scale = max(1.0, float(np.abs(sorted_pts).max()))
     eps = 1e-12 * scale * scale
+    coords = sorted_pts.tolist()
 
     def build(seq):
         out = []
         for i in seq:
             while len(out) >= 2:
-                o = sorted_pts[out[-2]]
-                a = sorted_pts[out[-1]]
-                b = sorted_pts[i]
+                o = coords[out[-2]]
+                a = coords[out[-1]]
+                b = coords[i]
                 cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
                 if cross <= eps:
                     out.pop()
@@ -253,15 +265,13 @@ def _oracle_halfspaces(gens):
         normals = np.stack([-live[:, 1], live[:, 0]], axis=1)
         normals /= np.linalg.norm(normals, axis=1)[:, np.newaxis]
     elif n == 3:
-        rows = []
+        i, j = np.triu_indices(live.shape[0], k=1)
+        d = np.cross(live[i], live[j])
+        # a row-wise dot product, as a 1-D norm takes it (not a sum of squares)
+        nd = np.sqrt((d[:, np.newaxis, :] @ d[:, :, np.newaxis])[:, 0, 0])
         ln = np.linalg.norm(live, axis=1)
-        for i in range(live.shape[0]):
-            for j in range(i + 1, live.shape[0]):
-                d = np.cross(live[i], live[j])
-                nd = float(np.linalg.norm(d))
-                if nd > 1e-12 * ln[i] * ln[j]:
-                    rows.append(d / nd)
-        normals = np.asarray(rows)
+        keep = nd > 1e-12 * ln[i] * ln[j]
+        normals = d[keep] / nd[keep, np.newaxis]
     else:
         import itertools
 
@@ -320,10 +330,14 @@ def mc_volume(z, cfg=None):
     done = 0
     while done < total:
         take = min(_CHUNK, total - done)
-        u = rng.uniforms(take * n).reshape(take, n)
-        pts = (2.0 * u - 1.0) * half
-        inside = np.all(np.abs(pts @ normals.T) <= offsets, axis=1)
-        hits += int(inside.sum())
+        pts = (2.0 * rng.uniforms(take * n) - 1.0).reshape(take, n)
+        for k in range(n):  # column by column: long loops, not one per sample
+            pts[:, k] *= half[k]
+        dots = pts @ normals.T
+        np.abs(dots, out=dots)
+        # one contiguous row per normal, so the AND over normals runs along rows
+        below = np.ascontiguousarray((dots <= offsets).T)
+        hits += int(np.count_nonzero(np.logical_and.reduce(below, axis=0)))
         done += take
     rate = hits / total
     return McVolumeResult(
@@ -338,7 +352,6 @@ def mc_volume(z, cfg=None):
 
 def _hull_contains(pts, x, tol=1e-9):
     """Is x in the convex hull of the point rows? Rank-aware."""
-    from scipy.optimize import linprog
     from scipy.spatial import ConvexHull, QhullError
 
     center = pts.mean(axis=0)
@@ -365,6 +378,8 @@ def _hull_contains(pts, x, tol=1e-9):
             return bool(gap.max() <= tol)
         except QhullError:
             pass
+    from scipy.optimize import linprog
+
     k = coords.shape[0]
     a_eq = np.vstack([coords.T, np.ones((1, k))])
     b_eq = np.concatenate([cx, [1.0]])

@@ -67,6 +67,42 @@ def quadratic_dedup(pts, tol=1e-9):
     return np.asarray(kept)
 
 
+def reference_hull2d(pts):
+    """Andrew monotone chain on numpy scalars, one point at a time: indices
+    of the hull vertices of a planar cloud, collinear points dropped, in the
+    order the oracle's chain returns them."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    sorted_pts = pts[order]
+    scale = max(1.0, float(np.abs(sorted_pts).max()))
+    eps = 1e-12 * scale * scale
+
+    def build(seq):
+        out = []
+        for i in seq:
+            while len(out) >= 2:
+                o = sorted_pts[out[-2]]
+                a = sorted_pts[out[-1]]
+                b = sorted_pts[i]
+                cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+                if cross <= eps:
+                    out.pop()
+                else:
+                    break
+            out.append(i)
+        return out
+
+    k = sorted_pts.shape[0]
+    idx = build(range(k))[:-1] + build(range(k - 1, -1, -1))[:-1]
+    if not idx:
+        idx = [0]
+    if len(idx) > 2:
+        q = sorted_pts[[idx[-1], *idx, idx[0]]]
+        a = q[:-2] - q[1:-1]
+        b = q[2:] - q[1:-1]
+        idx = np.asarray(idx)[b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0] > eps]
+    return order[np.asarray(idx, dtype=int)]
+
+
 def near_duplicate_cloud(rng, m, n):
     """All 2^m sign sums, repeated with jitter below, near and above 1e-9."""
     gens = rng.uniform(-1, 1, size=(m, n))

@@ -10,6 +10,7 @@ from conftest import (
     make_system,
     near_duplicate_cloud,
     quadratic_dedup,
+    reference_hull2d,
 )
 from ctrlgauge import (
     DegenerateZonotope,
@@ -27,7 +28,7 @@ from ctrlgauge import (
     vertex_set_distance,
 )
 from ctrlgauge import oracle
-from ctrlgauge.oracle import _lexsorted_unique
+from ctrlgauge.oracle import _hull2d_indices, _lexsorted_unique, _sign_sums
 
 MASK = (1 << 64) - 1
 
@@ -129,6 +130,66 @@ class TestBruteVertices:
         cloud = near_duplicate_cloud(rng, m, n)
         assert _lexsorted_unique(cloud).tobytes() == quadratic_dedup(cloud).tobytes()
 
+    @pytest.mark.parametrize("case", ["distinct", "zero-generator", "shared-lead"])
+    def test_dedup_exact_ties_identical_to_quadratic_merge(self, rng, case):
+        gens = rng.uniform(-1, 1, size=(8, 3))
+        if case == "zero-generator":
+            gens[3] = 0.0  # every sum appears twice, bit for bit
+        elif case == "shared-lead":
+            gens[:5, 0] = 0.0  # 32 sums share each first coordinate
+        cloud = _sign_sums(gens)
+        # distinct first coordinates take the early return; ties take the merge
+        gaps = np.diff(np.sort(cloud[:, 0]))
+        assert (gaps.min() > 2e-9) == (case == "distinct")
+        assert _lexsorted_unique(cloud).tobytes() == quadratic_dedup(cloud).tobytes()
+
+
+def _edge_midpoint_coords():
+    """The planar cloud the oracle hands its hull chain for the edge-midpoint
+    zonotope of test_planar_hull_drops_edge_midpoints: SVD-rotated sums,
+    whose points on two edges tie in x only up to rounding."""
+    G = np.array(
+        [[-0.5, 0], [0, -0.5], [-0.0, -0.5], [1, 1], [-0.5, -0.5], [-0.5, 0.5],
+         [-0.5, 0], [0.5, -0.5]]
+    )
+    pts = _lexsorted_unique(_sign_sums(G))
+    shifted = pts - pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(shifted, full_matrices=False)
+    return shifted @ vt[:2].T
+
+
+def _planar_clouds():
+    rng = np.random.default_rng(41)
+    grid = rng.integers(-4, 5, size=(300, 2)).astype(float)  # x-ties, collinear runs
+    t = np.linspace(-1.0, 1.0, 9)
+    square = np.vstack([np.column_stack([t, np.full(9, s)]) for s in (-1.0, 1.0)]
+                       + [np.column_stack([np.full(9, s), t]) for s in (-1.0, 1.0)])
+    # edges bowed out by 1e-9 (kept) and 1e-14 (below the chain's 1e-12 rule)
+    bow = np.concatenate([1.0 + 1e-9 * (1.0 - t**2), 1.0 + 1e-14 * (1.0 - t**2)])
+    bowed = np.vstack([np.column_stack([np.tile(t, 2), bow]),
+                       np.column_stack([bow, np.tile(t, 2)]), [[-1.0, -1.0]]])
+    turn = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    return {
+        "grid": grid,
+        "square-edges": square,
+        "rotated-grid": grid @ turn.T,  # x-ties broken by rounding
+        "rotated-square": (square + 0.1 * rng.standard_normal((1, 2))) @ turn.T,
+        "bowed-edges": bowed,
+        "gaussian": rng.standard_normal((400, 2)),
+        "edge-midpoint": _edge_midpoint_coords(),
+        "point": np.array([[0.3, -0.2]]),
+        "collinear": np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]]),
+    }
+
+
+class TestPlanarHull:
+    @pytest.mark.parametrize("name", list(_planar_clouds()))
+    def test_same_indices_as_reference_chain(self, name):
+        cloud = _planar_clouds()[name]
+        got, want = _hull2d_indices(cloud), reference_hull2d(cloud)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
 
 class TestVertexSetDistance:
     def test_zero_for_identical(self):
@@ -162,6 +223,31 @@ class TestMcVolume:
         b = mc_volume(z, OracleConfig(mc_samples=50_000, seed=5))
         assert a.estimate == b.estimate
         assert a.seed == 5
+
+    @pytest.mark.parametrize("chunk", [1000, 4096])
+    def test_chunk_size_does_not_change_the_answer(self, monkeypatch, chunk):
+        z = Zonotope(np.array([[1.0, 0.2, 0.1], [0.1, 0.8, -0.3], [0.4, -0.3, 0.6]]))
+        cfg = OracleConfig(mc_samples=10_007, seed=3)
+        default = mc_volume(z, cfg)
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert mc_volume(z, cfg) == default
+
+    @pytest.mark.parametrize(
+        "gens,samples,seed,hits",
+        [
+            ([[1.0, 0.2], [0.1, 0.8], [0.4, -0.3]], 50_000, 5, 38702),
+            ([[1.0, 0.2, 0.0], [0.1, 0.8, 0.3], [0.4, -0.3, 0.5], [0.2, 0.1, -0.7]],
+             40_000, 9, 18378),
+            ([[1.0, 0.2, 0.0, 0.3], [0.1, 0.8, 0.3, -0.2], [0.4, -0.3, 0.5, 0.1],
+              [0.2, 0.1, -0.7, 0.4], [-0.3, 0.5, 0.2, 0.6]], 30_000, 13, 4841),
+        ],
+        ids=["n2", "n3", "n4"],
+    )
+    def test_pinned_hit_counts(self, gens, samples, seed, hits):
+        # the counts fix the SplitMix64 stream and the rounding of each
+        # sample's products with the normals
+        res = mc_volume(np.array(gens), OracleConfig(mc_samples=samples, seed=seed))
+        assert res.hit_rate == hits / samples
 
     def test_flat_rejected(self):
         with pytest.raises(DegenerateZonotope):
