@@ -28,7 +28,8 @@ so noise along a thin facet does not rescale the inputs; flat stages are
 walked inside their span, and the witness is replayed against x itself,
 off-span rounding included; the strategy dimension ranks by the span
 rule. The LP runs only for stages whose normals are capped (n >= 4 past
-MAX_GENERATORS generators): their gauge, witness and freedom.
+MAX_GENERATORS generators): the max-margin LP gives their gauge and the
+normal that supports the state, and the descent walks on from there.
 """
 
 from __future__ import annotations
@@ -68,15 +69,9 @@ EXACT_GENERATOR_CAP = 16
 DEFAULT_MAX_STEPS = 50
 
 
-def _box_lp(rows, x, objective=None):
+def _box_lp(rows, x):
     m = rows.shape[0]
-    return lp.BoxLp(
-        G=rows.T,
-        x0=x,
-        lower=np.full(m, -1.0),
-        upper=np.full(m, 1.0),
-        objective=objective,
-    )
+    return lp.BoxLp(G=rows.T, x0=x, lower=np.full(m, -1.0), upper=np.full(m, 1.0))
 
 
 def _check_state(sys, x0):
@@ -110,10 +105,6 @@ class _Family:
     dirs: np.ndarray
     supports: np.ndarray
     capped: int | None
-
-    def has_normals(self, k):
-        """Whether stage k comes before the normal cap."""
-        return self.capped is None or k < self.capped
 
 
 def _family(rows, r):
@@ -184,9 +175,9 @@ def _stage_gauges(fam, x, start=1):
     The stages with normals are read in chunks of 8, 16, 32, ... columns,
     so a caller that stops at an early stage reads few of them. Stages
     from fam.capped on take the max-margin LP, whose separating direction
-    may be None; its gauge 1 - margin within GAUGE_TOL of 1 counts as 1,
-    so a rounding-level negative margin does not put a boundary state
-    outside.
+    (the Farkas certificate of an Infeasible answer) may be None; its
+    gauge 1 - margin within GAUGE_TOL of 1 counts as 1, so a
+    rounding-level negative margin does not put a boundary state outside.
     """
     stages = len(fam.rows) // fam.r
     lo = start - 1
@@ -242,9 +233,12 @@ def _descend(fam, k, x):
     pinned sum; an independent tied set ends it with one linear solve. A
     normal that ties every active generator (a rounding-level direction
     of the span) is skipped. The first level reads the family's stage-k
-    normals, deeper ones call hform on the tied rows. A gauge within the
-    rounding bound of 1 counts as 1, so noise along a thin facet does not
-    rescale the inputs. Generators that are not live (zonotope._spans) get
+    normals, deeper ones call hform on the tied rows; where the normals
+    are capped (stage k from fam.capped on, or a tied set past
+    MAX_GENERATORS) the level's one normal is lp.max_margin's direction,
+    which supports y's face. A gauge within the rounding bound of 1
+    counts as 1, so noise along a thin facet does not rescale the
+    inputs. Generators that are not live (zonotope._spans) get
     input 0 and stay free; the free mask adds the active generators of the
     first level whose gauge is more than BOUNDARY_TOL below 1. The witness
     must replay within lp.RESIDUAL_TOL on the equations and the box, or
@@ -254,9 +248,11 @@ def _descend(fam, k, x):
     m, n = rows.shape
     norms = np.linalg.norm(rows, axis=1)
     tiny = ~fam.live[: k * fam.r]
-    c = fam.supports[:, k - 1]
-    use = (c > 0.0) & (c < math.inf)
-    dirs, sup = fam.dirs[use], c[use]
+    dirs = None
+    if k <= fam.supports.shape[1]:
+        c = fam.supports[:, k - 1]
+        use = (c > 0.0) & (c < math.inf)
+        dirs, sup = fam.dirs[use], c[use]
     u, y, scale, free = np.zeros(m), x, 1.0, None
     active = np.flatnonzero(~tiny)
     flat = rows[active]
@@ -264,8 +260,12 @@ def _descend(fam, k, x):
         active.size <= n and _spans(flat)[2][-1] == active.size
     ):
         if dirs is None:
-            form = hform(flat)
-            dirs, sup = form.normals, form.supports
+            try:
+                form = hform(flat)
+                dirs, sup = form.normals, form.supports
+            except TooManyGenerators:
+                d = lp.max_margin(_box_lp(flat, y)).direction
+                dirs, sup = d[np.newaxis], np.abs(flat @ d).sum(keepdims=True)
         dy = dirs @ y
         facet = (np.abs(dirs @ flat.T) > TIE_TOL * norms[active]).any(axis=1)
         if not facet.any():
@@ -310,25 +310,14 @@ def _strategy_dim(fam, x, gauge, walk=None):
 
     With a margin above BOUNDARY_TOL the box is inactive and every
     coordinate is free. Otherwise the face descent (or walk, its result
-    for this stage and state) marks them; past the normal cap, a
-    coordinate is free when its LP range exceeds STRICT_TOL.
+    for this stage and state) marks them, past the normal cap too.
     """
     if gauge > 1.0:
         raise NotMember("state is outside the region at this horizon")
     rows = fam.rows
-    m, k = rows.shape[0], rows.shape[0] // fam.r
     if 1.0 - gauge > BOUNDARY_TOL:
-        return m - int(fam.dims[-1])
-    if fam.has_normals(k):
-        free = (walk or _descend(fam, k, x))[1]
-    else:
-        free = np.zeros(m, dtype=bool)
-        for j in range(m):
-            c = np.zeros(m)
-            c[j] = 1.0
-            lo = lp.optimize(_box_lp(rows, x, c), sense="min").value
-            hi = lp.optimize(_box_lp(rows, x, c), sense="max").value
-            free[j] = (hi - lo) > STRICT_TOL
+        return len(rows) - int(fam.dims[-1])
+    free = (walk or _descend(fam, len(rows) // fam.r, x))[1]
     # rows that are not live (input 0 in the descent) add no rank
     return int(free.sum()) - int(_spans(rows[free & fam.live])[2][-1])
 
@@ -341,9 +330,9 @@ def min_time(sys, x0, kind=RegionKind.REACH, max_steps=DEFAULT_MAX_STEPS):
     chunks of stages so that an early answer reads few of them (stages
     past the normal cap take one max-margin LP each); the stage below it
     supplies the separating certificate, and the face descent from that
-    stage's deciding normal gives the witness inputs, with no LP (one
-    feasibility LP past the normal cap). Raises NotReachable past
-    max_steps.
+    stage's deciding normal gives the witness inputs, with no LP below
+    the normal cap (past it, one more max-margin LP for the normal).
+    Raises NotReachable past max_steps.
     """
     x = _check_state(sys, x0)
     rows = stage_generators(sys, max_steps, kind)
@@ -370,18 +359,8 @@ def _min_time(fam, x, kind):
                 certificate=certificate,
                 max_steps=horizon,
             )
-        if fam.has_normals(steps):
-            walk = _descend(fam, steps, x)
-            inputs = walk[0]
-        else:
-            res = lp.feasible(_box_lp(fam.rows[: steps * r], x))
-            if not res.feasible:
-                raise InternalError(
-                    f"stage {steps} contains the state (gauge {gauge!r}) "
-                    "but the witness LP finds no inputs"
-                )
-            inputs = res.witness
-        inputs = inputs.reshape(steps, r)
+        walk = _descend(fam, steps, x)
+        inputs = walk[0].reshape(steps, r)
         # reach: generator block i acts at time steps-1-i
         inputs = inputs[::-1].copy() if kind is RegionKind.REACH else -inputs
     margin = 1.0 - gauge

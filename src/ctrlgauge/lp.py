@@ -8,8 +8,13 @@ with all bounds finite. The solver is a bounded-variable primal simplex:
 phase 1 minimizes the l1 norm of the equality residuals through signed
 artificial variables, phase 2 optimizes the caller's objective. Bland's
 rule fixes the pivot order (lowest eligible index enters; lowest variable
-index leaves among ratio ties), so runs are deterministic and cycle-free.
+index leaves among ratio ties, which are steps that move no basic
+variable more than PIVOT_TOL past its bound), so runs are deterministic.
 Finite boxes rule out unbounded rays; meeting one raises InternalError.
+
+The library itself calls max_margin only, on stages past the facet-normal
+cap: for the gauge, and for the normal its face descent starts from.
+feasible and optimize are kept as public entry points.
 
 Witnesses are always re-verified after the fact: equality residual within
 RESIDUAL_TOL, bounds within BOUND_TOL. Per-iteration state can be dumped
@@ -96,6 +101,7 @@ class FeasibilityResult:
 class MarginResult:
     margin: float
     witness: np.ndarray
+    direction: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,33 +176,30 @@ class _Simplex:
                     self.basis.tolist(),
                 )
             rate = -delta * w
-            # ratio test; ties resolved toward the smallest variable index,
-            # with the entering variable itself standing for a bound flip
-            t_min = self.upper[enter] - self.lower[enter]
-            leave_pos = -1
-            hit_upper = False
-            best_var = enter
-            for i in range(self.nrows):
-                bi = self.basis[i]
-                if rate[i] > PIVOT_TOL:
-                    room = self.upper[bi] - self.x[bi]
-                    t = max(room, 0.0) / rate[i]
-                    up = True
-                elif rate[i] < -PIVOT_TOL:
-                    room = self.x[bi] - self.lower[bi]
-                    t = max(room, 0.0) / -rate[i]
-                    up = False
-                else:
-                    continue
-                if t < t_min - PIVOT_TOL or (t <= t_min + PIVOT_TOL and bi < best_var):
-                    t_min = min(t_min, t)
-                    leave_pos = i
-                    hit_upper = up
-                    best_var = bi
-            if not np.isfinite(t_min):
+            # ratio test: t_max is the longest step that moves no basic
+            # variable more than PIVOT_TOL past its bound; among the
+            # variables whose own ratio fits in it the smallest index
+            # leaves, with the entering variable itself standing for a
+            # bound flip, and the step is the leaver's own ratio, so it
+            # lands on its bound and the iterate keeps A x = b
+            pos = np.flatnonzero(np.abs(rate) > PIVOT_TOL)
+            var = self.basis[pos]
+            speed = np.abs(rate[pos])
+            up = rate[pos] > 0.0
+            room = np.where(
+                up, self.upper[var] - self.x[var], self.x[var] - self.lower[var]
+            )
+            ratio = np.maximum(room, 0.0) / speed
+            span = self.upper[enter] - self.lower[enter]
+            t_max = min(span, float(np.min((room + PIVOT_TOL) / speed, initial=np.inf)))
+            if not np.isfinite(t_max):
                 raise InternalError("unbounded ray met despite finite boxes")
-            t_step = max(t_min, 0.0)
-            if leave_pos < 0:
+            t_max = max(t_max, 0.0)
+            fits = np.flatnonzero(ratio <= t_max)
+            j = fits[np.argmin(var[fits])] if fits.size else -1
+            flip = j < 0 or (span <= t_max and enter < var[j])
+            t_step = span if flip else float(ratio[j])
+            if flip:
                 # bound flip: the entering variable crosses its own box
                 self.x[self.basis] += t_step * rate
                 self.x[enter] = (
@@ -204,6 +207,7 @@ class _Simplex:
                 )
                 self.status[enter] = _AT_UPPER if delta > 0 else _AT_LOWER
                 continue
+            leave_pos, hit_upper = int(pos[j]), bool(up[j])
             leave = int(self.basis[leave_pos])
             self.x[self.basis] += t_step * rate
             self.x[enter] = self.x[enter] + delta * t_step
@@ -341,6 +345,11 @@ def max_margin(lp):
     0 <= s <= 1. A margin of zero (within 1e-8) means x0 sits on the
     boundary of the reachable set; raises Infeasible when x0 is outside
     even the unshrunk box image.
+
+    direction is a unit vector d with d . x0 >= 0, from the phase-2 duals
+    of the G u = x0 rows. Over the unit box it supports the shrunken
+    image at x0: d . x0 = (1 - margin) sum_j |d . g_j| for the columns g_j
+    of G, so at a margin below 1 it is the normal of a face through x0.
     """
     n, m = lp.G.shape
     span = lp.upper - lp.lower
@@ -385,4 +394,9 @@ def max_margin(lp):
         raise InternalError(
             f"max_margin witness violates shrunken bounds by {shrink_viol:.3e}"
         )
-    return MarginResult(margin=s, witness=u)
+    # phase-2 duals of the G u = x0 rows: a subgradient of the gauge at x0,
+    # zero only when s sits at its cap
+    y = solver.duals[:n]
+    norm = float(np.linalg.norm(y))
+    d = y / norm if norm > 0.0 else np.eye(n)[0]
+    return MarginResult(margin=s, witness=u, direction=d if d @ lp.x0 >= 0.0 else -d)

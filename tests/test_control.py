@@ -30,7 +30,7 @@ from ctrlgauge import (
     strategy_space_dim,
     verify_theorem1,
 )
-from ctrlgauge import control, lp
+from ctrlgauge import control, lp, zonotope
 from ctrlgauge.control import EPS, GAUGE_TOL, _descend, _family, _stage_gauges
 from ctrlgauge.errors import CtrlGaugeError, InternalError, UnstableGrowth
 from ctrlgauge.zonotope import _spans, hform
@@ -46,6 +46,18 @@ def _brute_contained(fam_inner, fam_outer):
             if not lp_feasible(box).feasible:
                 return False
     return True
+
+
+def _count_lp_calls(monkeypatch):
+    """Record (entry point, columns) of every LP the library solves."""
+    calls = []
+    for name in ("feasible", "optimize", "max_margin"):
+        def counted(box, *args, _name=name, _real=getattr(lp, name), **kwargs):
+            calls.append((_name, box.G.shape[1]))
+            return _real(box, *args, **kwargs)
+
+        monkeypatch.setattr(lp, name, counted)
+    return calls
 
 
 def _stage_gauge(rows, x):
@@ -168,22 +180,18 @@ class TestMinTimeLpFallback:
         assert float(cert @ x0) > below.support(cert) + 1e-9
 
     def test_capped_stage_uses_the_lp(self, monkeypatch):
-        # past the cap the witness and the freedom still come from the LP
+        # past the cap the LP gives the gauge and its supporting normal
+        # only; the witness and the freedom come from the face descent
         sys_, rng = self._system()
         rows = stage_generators(sys_, 8, RegionKind.REACH)
         d = rng.standard_normal(4)
         x0 = np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows
-        calls = []
-        for name in ("feasible", "optimize"):
-            def counted(*args, _name=name, _real=getattr(lp, name), **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(lp, name, counted)
+        calls = _count_lp_calls(monkeypatch)
         sol = min_time(sys_, x0, max_steps=8)
-        assert calls.count("feasible") == 1
-        assert calls.count("optimize") == 2 * rows.shape[0]
-        assert sol.strategy_dim == 0
+        assert strategy_space_dim(sys_, x0, 8) == sol.strategy_dim == 0
+        assert [name for name, _ in calls] == ["max_margin"] * len(calls)
+        # stages 7 and 8 (21 and 24 generators) are the capped ones
+        assert {columns for _, columns in calls} == {21, 24}
 
     @pytest.mark.parametrize("seed", [0, 2, 8, 9, 10, 13])
     def test_capped_stage_vertex_at_rounding_margin(self, seed):
@@ -210,6 +218,86 @@ class TestMinTimeLpFallback:
         x0 = 1.1 * (np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows)
         with pytest.raises(NotReachable):
             min_time(sys_, x0, max_steps=8)
+
+
+@pytest.fixture
+def capped(monkeypatch):
+    """Call a function with the normal cap patched down to 4 generators, so
+    n = 4 stages of 5 or more generators are past it; returns its result
+    and the LPs it solved."""
+
+    def run(f, *args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(zonotope, "MAX_GENERATORS", 4)
+            calls = _count_lp_calls(mp)
+            return f(*args, **kwargs), calls
+
+    return run
+
+
+def _parity_states(rng, rows):
+    """A vertex, a point on an edge, an interior point and the vertex
+    shrunk by 5e-8, within BOUNDARY_TOL of the boundary."""
+    m, n = rows.shape
+    vertex = np.sign(rows @ rng.standard_normal(n))
+    edge = vertex.copy()
+    edge[rng.integers(m)] = rng.uniform(-1.0, 1.0)
+    return {
+        "vertex": vertex @ rows,
+        "edge": edge @ rows,
+        "interior": rng.uniform(-0.5, 0.5, m) @ rows,
+        "near": (1.0 - 5e-8) * (vertex @ rows),
+    }
+
+
+class TestCappedParity:
+    # the same n = 4 stages answered past the normal cap (the LP's gauge
+    # and supporting normal, then the face descent) and below it (the
+    # family's normals) give the same answers, with no feasibility or
+    # range LP
+    def _answers(self, sys_, x, horizon):
+        sol = min_time(sys_, x, max_steps=horizon)
+        dim = strategy_space_dim(sys_, x, horizon)
+        traj = simulate(sys_, np.zeros(sys_.n), sol.inputs)
+        assert np.abs(traj[-1] - x).max() <= 1e-7
+        assert np.abs(sol.inputs).max() <= 1.0 + 1e-7
+        return sol.min_steps, sol.strategy_dim, sol.boundary, dim
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("r, horizon", [(1, 6), (2, 4)])
+    def test_same_answers(self, capped, seed, r, horizon):
+        rng = np.random.default_rng(seed)
+        sys_ = make_system(rng, 4, r=r)
+        rows = stage_generators(sys_, horizon, RegionKind.REACH)
+        assert capped(_family, rows, r)[0].capped is not None
+        solved = []
+        for where, x in _parity_states(rng, rows).items():
+            free = self._answers(sys_, x, horizon)
+            got, calls = capped(self._answers, sys_, x, horizon)
+            assert got == free, where
+            if where != "near":
+                # the enumeration counts a state 5e-8 inside as interior;
+                # the library puts it on the boundary (BOUNDARY_TOL)
+                assert got[3] == affine_dim(rows.T, x), where
+            solved += calls
+        assert {name for name, _ in solved} == {"max_margin"}
+
+    def test_tied_set_past_the_cap(self, capped):
+        # n = 5 with parallel inputs: a facet of stage 5 ties 4 directions,
+        # 8 generators, so the descent's second level is past the cap too
+        # and takes the LP's normal of the tied set
+        rng = np.random.default_rng(4)
+        A = rng.uniform(-1.0, 1.0, (5, 5))
+        b = rng.uniform(-1.0, 1.0, 5)
+        sys_ = LdtSystem(name="p", A=A, B=np.column_stack([b, -1.7 * b]))
+        rows = stage_generators(sys_, 5, RegionKind.REACH)
+        for where, x in _parity_states(rng, rows).items():
+            free = self._answers(sys_, x, 5)
+            got, calls = capped(self._answers, sys_, x, 5)
+            assert got == free, where
+            assert {name for name, _ in calls} == {"max_margin"}
+            if where == "vertex":
+                assert ("max_margin", 8) in calls
 
 
 class TestStageGauge:

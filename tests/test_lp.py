@@ -181,6 +181,81 @@ class TestMaxMargin:
         assert res.margin == pytest.approx(1.0 - np.abs(x0).max(), abs=1e-8)
 
 
+def _capped_vertex(seed):
+    """The stage-8 vertex of an n = 4, r = 3 system that the capped min_time
+    tests use; its max-margin LP answers a rounding-level margin."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-0.6, 0.6, (4, 4))
+    B = rng.uniform(-1, 1, (4, 3))
+    rows = stage_generators(LdtSystem(name="capped", A=A, B=B), 8, RegionKind.REACH)
+    return rows.T, np.sign(rows @ rng.standard_normal(4)) @ rows
+
+
+class TestMarginDirection:
+    # over the unit box the direction supports the shrunken image at x0:
+    # d . x0 = (1 - margin) sum_j |d . g_j|
+    def _check(self, G, x0):
+        G = np.atleast_2d(np.asarray(G, dtype=float))
+        x0 = np.asarray(x0, dtype=float)
+        res = lp_max_margin(_box(G, x0))
+        d = res.direction
+        support = float(np.abs(d @ G).sum())
+        assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+        assert d @ x0 >= 0.0
+        assert abs(d @ x0 - (1.0 - res.margin) * support) <= 1e-12 * max(1.0, support)
+        return res
+
+    @pytest.mark.parametrize("x0", [2.0, -3.0, 4.0, 0.0])
+    def test_scalar_chain(self, x0):
+        res = self._check(np.ones((1, 4)), [x0])
+        assert res.direction == pytest.approx([1.0 if x0 >= 0.0 else -1.0])
+
+    def test_identity(self, rng):
+        # for G = I the normal is the axis of the largest |x0_i|
+        for _ in range(20):
+            x0 = rng.uniform(-0.9, 0.9, size=3)
+            i = int(np.argmax(np.abs(x0)))
+            res = self._check(np.eye(3), x0)
+            assert res.direction == pytest.approx(np.sign(x0[i]) * np.eye(3)[i])
+
+    def test_origin(self):
+        # margin 1: every unit vector supports the image at the origin
+        self._check(np.eye(3), np.zeros(3))
+
+    def test_random_unit_boxes(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n, 9))
+            G = rng.uniform(-1, 1, size=(n, m))
+            u = rng.uniform(-1, 1, size=m)
+            if rng.random() < 0.5:
+                u = np.sign(u)  # a vertex
+            self._check(G, G @ u)
+
+    @pytest.mark.parametrize("seed", [0, 2, 8, 9, 10, 13])
+    def test_capped_vertices(self, seed):
+        res = self._check(*_capped_vertex(seed))
+        assert abs(res.margin) <= 1e-8
+
+
+class TestMarginNearVertices:
+    # states delta inside a vertex of a single-input stage: an input and
+    # the slack of its shrunken bound reach their bounds at steps delta /
+    # rate apart, with rates up to 1e4, and only a tie window on the values
+    # keeps the witness inside the shrunken box
+    @pytest.mark.parametrize("delta", [0.0, 1e-8, 1e-7, 3e-7, 1e-6, 1e-5, 1e-3])
+    def test_margin_is_delta(self, delta):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = [2, 3, 4, 5][seed % 4]
+            A = rng.uniform(-1, 1, (n, n))
+            B = rng.uniform(-1, 1, (n, 1))
+            rows = stage_generators(LdtSystem(name="v", A=A, B=B), 8, RegionKind.REACH)
+            v = np.sign(rows @ rng.standard_normal(n)) @ rows
+            res = lp_max_margin(_box(rows.T, (1.0 - delta) * v))
+            assert res.margin == pytest.approx(delta, abs=1e-9), f"seed {seed}"
+
+
 class TestEnumerationOracleSelfCheck:
     def test_affine_dim_chain(self):
         G = np.ones((1, 4))
