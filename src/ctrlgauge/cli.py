@@ -207,7 +207,7 @@ def _cmd_region(args):
     for k in args.steps:
         vol = summary["volumeByStage"][k - 1]
         count = summary["vertexCountByStage"][k - 1]
-        shown = "n/a" if count is None else count
+        shown = "n/a" if count is None else count  # None past the count budget
         print(f"stage {k}: volume {vol:.4g}, vertices {shown}")
     out = _out_dir(args)
     outputs = []

@@ -18,11 +18,10 @@ from .errors import (
     BadRange,
     HorizonTooShort,
     SingularA,
-    TooManyGenerators,
     UnstableGrowth,
 )
 from .model import validate
-from .zonotope import Zonotope, _spans
+from .zonotope import Zonotope, _prefix_counts, _prefix_volumes, _shape_report, _spans
 
 GROWTH_LIMIT = 1e12
 
@@ -208,26 +207,28 @@ def expansion_check(family, stage_from, stage_to):
 def region_summary(family):
     """JSON-ready per-stage summary of a region family.
 
-    Vertex counts are omitted (None) for stages past the enumeration caps
-    (Zonotope.vertices raises TooManyGenerators).
+    Every stage's volume, vertex count and rank come from one pass over
+    the final stage's stage-major rows: the volumes from one bucketed
+    determinant sum (zonotope._prefix_volumes), the counts by
+    deletion-restriction (zonotope._prefix_counts). A count is None only
+    past the count budget; no stage's vertices are enumerated.
     """
     final = family.stages[-1]
-    report = final.shape_report()
-    counts = []
-    for z in family.stages:
-        try:
-            counts.append(int(z.vertices().shape[0]))
-        except TooManyGenerators:
-            counts.append(None)
+    rows = final.generators
+    spans = final._span_rule
+    ends = family.system.r * np.arange(1, family.horizon + 1)
+    volumes = _prefix_volumes(rows, spans[2])[ends].tolist()
+    counts = _prefix_counts(rows, spans)
+    report = _shape_report(rows, final.rank(), volumes[-1])
     return {
         "kind": family.kind.value,
         "N": family.horizon,
         "rank": report.rank,
-        "volumeByStage": [z.volume() for z in family.stages[:-1]] + [report.volume],
+        "volumeByStage": volumes,
         "sideLengths": report.side_lengths.tolist(),
         "shapeFactors": {
             "overall": report.overall_shape_factor,
             "planar": report.to_dict()["planarShapeFactors"],
         },
-        "vertexCountByStage": counts,
+        "vertexCountByStage": [counts[p] for p in ends],
     }

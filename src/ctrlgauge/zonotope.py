@@ -28,9 +28,25 @@ and a set's rank can depend on its generators' order. Membership, gauges and
 containment all read one rank-aware H-form (hform): the complement of
 the generators' span, unit facet normals in it, and their supports.
 
-Shape factors come from volumes: the area of a 2-D coordinate projection
-is the volume of the projected generators, so the planar factors share
-the determinant sum, its cap and its flat rule (rank below 2 gives 0).
+Vertex counts need no enumeration (_prefix_counts). The vertices of a
+zonotope match the regions of the arrangement of the hyperplanes g-perp
+of its generators (Zaslavsky, "Facing up to arrangements", Mem. AMS 1975;
+Ziegler, Lectures on Polytopes, ch. 7). By deletion-restriction a live
+generator parallel to no earlier one adds as many regions as the earlier
+generators, projected onto its hyperplane, cut there, one dimension down;
+in the plane the count is twice the angle classes of the vertex chain,
+on a line it is 2. Summed in generator order, the additions give the
+count of every leading block G[:p], so one pass over a region family's
+final stage counts every stage's vertices, past MAX_GENERATORS too.
+
+Volumes are one determinant sum (_det_sums): 2^n times the sum of |det|
+over the generators' n-subsets. A subset lies in every leading block from
+the one holding its last row on, so bucketing the |det| by that row and
+taking cumulative sums gives every block's volume from the final block's
+subsets; blocks of rank below n read 0. Shape factors come from volumes
+too: the area of a 2-D coordinate projection is the volume of the
+projected generators, so the planar factors share the determinant sum,
+its cap and its flat rule (rank below 2 gives 0).
 
 Near-ties below 1e-12 (relative) are treated as exact ties and expanded on
 both sides; inputs engineered with angle gaps between 1e-12 and 1e-9 are
@@ -135,26 +151,9 @@ class Zonotope:
         """Exact volume 2^n * sum over n-subsets of |det|; 0 when flat.
 
         Raises TooManyGenerators past MAX_VOLUME_SUBSETS subsets, checked
-        before any subset is built; the determinants are summed in chunks
-        of about CHUNK_BYTES.
+        before any subset is built (_det_sums).
         """
-        m, n = self.m, self.n
-        if m < n or self.rank() < n:
-            return 0.0
-        count = math.comb(m, n)
-        if count > MAX_VOLUME_SUBSETS:
-            raise TooManyGenerators(
-                f"{count} generator subsets exceed the volume cap {MAX_VOLUME_SUBSETS}"
-            )
-        chunk = max(1, CHUNK_BYTES // (8 * n * n))
-        subsets = itertools.combinations(range(m), n)
-        total = 0.0
-        for start in range(0, count, chunk):
-            take = min(chunk, count - start)
-            flat = itertools.chain.from_iterable(itertools.islice(subsets, take))
-            idx = np.fromiter(flat, dtype=np.intp, count=take * n).reshape(take, n)
-            total += float(np.abs(np.linalg.det(self.generators[idx])).sum())
-        return 2.0**n * total
+        return _volume(self.generators, self.rank())
 
     def project_2d(self, axes):
         """Project onto two coordinate axes and build the polygon outline.
@@ -180,28 +179,7 @@ class Zonotope:
         the projected generators, against the projected box area. Flat
         projections and degenerate axes produce zero factors.
         """
-        G = self.generators
-        n = self.n
-        rank = self.rank()
-        half = np.abs(G).sum(axis=0)
-        side_lengths = 2.0 * half
-        vol = self.volume()
-        box = float(np.prod(side_lengths)) if n >= 1 else 0.0
-        overall = vol / box if box > 0.0 else 0.0
-        planar = {}
-        for i, j in itertools.combinations(range(n), 2):
-            denom = 4.0 * half[i] * half[j]
-            if denom <= 0.0:
-                planar[(i, j)] = 0.0
-                continue
-            planar[(i, j)] = Zonotope(G[:, [i, j]]).volume() / denom
-        return ShapeReport(
-            volume=vol,
-            side_lengths=side_lengths,
-            overall_shape_factor=overall,
-            planar_shape_factors=planar,
-            rank=rank,
-        )
+        return _shape_report(self.generators, self.rank(), self.volume())
 
 
 @dataclass
@@ -232,6 +210,31 @@ class ShapeReport:
             },
             "rank": self.rank,
         }
+
+
+def _shape_report(G, rank, volume):
+    """Zonotope.shape_report of the generators G of the given rank and volume."""
+    n = G.shape[1]
+    half = np.abs(G).sum(axis=0)
+    side_lengths = 2.0 * half
+    box = float(np.prod(side_lengths))
+    planar = {}
+    for i, j in itertools.combinations(range(n), 2):
+        denom = 4.0 * half[i] * half[j]
+        if denom <= 0.0:
+            planar[(i, j)] = 0.0
+            continue
+        pgens = G[:, [i, j]]
+        # a planar set is its own projection: its determinants are summed once
+        area = volume if n == 2 else _volume(pgens, _spans(pgens)[2][-1])
+        planar[(i, j)] = area / denom
+    return ShapeReport(
+        volume=volume,
+        side_lengths=side_lengths,
+        overall_shape_factor=volume / box if box > 0.0 else 0.0,
+        planar_shape_factors=planar,
+        rank=rank,
+    )
 
 
 def polygon_area(poly):
@@ -351,9 +354,15 @@ def _canonical_flip(pgens):
     A row with |y| <= TIE_TOL |x| counts as lying on the x axis, so that
     rounding cannot split parallel rows between the angles 0 and pi.
     """
-    x, y = pgens[:, 0], pgens[:, 1]
+    x, y = pgens[..., 0], pgens[..., 1]
     flip = np.copysign(1.0, np.where(np.abs(y) <= TIE_TOL * np.abs(x), x, y))
-    return pgens * flip[:, np.newaxis], flip
+    return pgens * flip[..., np.newaxis], flip
+
+
+def _angles(pgens):
+    """Angles in [0, pi] of the flipped rows (_canonical_flip), and the flips."""
+    canon, flip = _canonical_flip(pgens)
+    return np.arctan2(canon[..., 1], canon[..., 0]), flip
 
 
 def _planar_vertex_signs(pgens):
@@ -370,8 +379,7 @@ def _planar_vertex_signs(pgens):
     single group gives the two ends of a segment.
     """
     m = pgens.shape[0]
-    canon, flip = _canonical_flip(pgens)
-    ang = np.arctan2(canon[:, 1], canon[:, 0])
+    ang, flip = _angles(pgens)
     order = np.argsort(ang, kind="stable")
     starts = np.concatenate(([0], np.flatnonzero(np.diff(ang[order]) > TIE_TOL) + 1))
     chain = np.empty((starts.size, m))
@@ -457,6 +465,141 @@ def _vertex_signs(G, spans):
     out = np.zeros((len(signs), len(G)))
     out[:, live] = signs
     return out
+
+
+# --- vertex counts and volumes of leading blocks -----------------------------
+
+
+def _volume(G, rank):
+    """2^n times the sum of |det| over G's n-subsets; 0.0 below rank n."""
+    n = G.shape[1]
+    if rank < n:
+        return 0.0
+    return 2.0**n * float(_det_sums(G).sum())
+
+
+def _det_sums(G):
+    """|det| of every n-subset of G's rows, summed by the subset's last row.
+
+    Entry j sums the subsets whose largest row index is j. Such a subset
+    belongs to every leading block G[:p] with p > j, so cumulative sums
+    give the volume of every block. Raises TooManyGenerators past
+    MAX_VOLUME_SUBSETS subsets, checked before any subset is built; the
+    determinants are taken in chunks of about CHUNK_BYTES.
+    """
+    m, n = G.shape
+    count = math.comb(m, n)
+    if count > MAX_VOLUME_SUBSETS:
+        raise TooManyGenerators(
+            f"{count} generator subsets exceed the volume cap {MAX_VOLUME_SUBSETS}"
+        )
+    sums = np.zeros(m)
+    chunk = max(1, CHUNK_BYTES // (8 * n * n))
+    subsets = itertools.combinations(range(m), n)
+    for start in range(0, count, chunk):
+        take = min(chunk, count - start)
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, take))
+        idx = np.fromiter(flat, dtype=np.intp, count=take * n).reshape(take, n)
+        sums += np.bincount(idx[:, -1], np.abs(np.linalg.det(G[idx])), minlength=m)
+    return sums
+
+
+def _prefix_volumes(G, dims):
+    """Volumes of the zonotopes of G[:p] for p = 0..m from one _det_sums;
+    exactly 0.0 where the span rule's dims[p] is below n, and with no
+    determinant taken (nor the subset cap checked) when G itself is flat."""
+    n = G.shape[1]
+    if dims[-1] < n:
+        return np.zeros(len(dims))
+    vol = 2.0**n * np.concatenate(([0.0], np.cumsum(_det_sums(G))))
+    return np.where(dims == n, vol, 0.0)
+
+
+def _count_size(m, rank):
+    """Planar rows _prefix_counts sorts for m generators of a given rank."""
+    return m ** max(2, rank - 1) if rank >= 2 else 0
+
+
+def _prefix_counts(G, spans):
+    """Vertex counts of the zonotopes of G[:p] for p = 0..m, given _spans(G).
+
+    The rows are flattened onto their span, and each count is that of the
+    regions of the arrangement of the hyperplanes g-perp of the live rows
+    (_additions). Rank 0 gives 1, rank 1 gives 2, and rank 2 twice the
+    angle classes of _planar_vertex_signs, prefix by prefix. A count is None past the
+    count budget: _count_size(p, dims[p]) above MAX_PATTERN_ROWS, checked
+    before any array is built; arrays are built in chunks of about
+    CHUNK_BYTES.
+    """
+    live, basis, dims = spans
+    m, n = G.shape
+    p = m
+    while _count_size(p, int(dims[p])) > MAX_PATTERN_ROWS:
+        p -= 1
+    rank = int(dims[p])
+    flat = G[:p] if rank == n else G[:p] @ basis[:rank].T
+    live = live[:p]
+    if rank < 2:
+        counts = np.where(np.cumsum(live) > 0, 2, 1)
+    else:
+        step = max(1, CHUNK_BYTES * p // (8 * rank * _count_size(p, rank)))
+        starts = range(0, p, step)
+        if rank == 2:
+            # prefix by prefix: a row can join two angle classes into one
+            ang, _ = _angles(flat)
+            index = np.arange(p)
+            counts = np.concatenate([
+                _class_counts(ang, live & (index <= index[s : s + step, np.newaxis]))
+                for s in starts
+            ])
+        else:
+            adds = [_additions(flat, live, slice(s, s + step)) for s in starts]
+            counts = 1 + np.cumsum(np.concatenate(adds))
+    return [1] + counts.tolist() + [None] * (m - p)
+
+
+def _region_counts(P, mask):
+    """Regions of the arrangement of the hyperplanes g-perp of the rows g of
+    P[b] under mask[b], for every batch index b of P (..., k, d), d >= 2."""
+    if P.shape[-1] == 2:
+        return _class_counts(_angles(P)[0], mask)
+    return 1 + _additions(P, mask).sum(axis=-1)
+
+
+def _class_counts(ang, mask):
+    """Twice the angle classes of the masked rows, as _planar_vertex_signs
+    groups them (sorted angles more than TIE_TOL apart), or 1 for none."""
+    ang = np.where(mask, ang, 4.0)  # past pi: masked rows sort last
+    ang.sort(axis=-1)
+    rows = mask.sum(axis=-1)
+    gaps = np.diff(ang, axis=-1) > TIE_TOL
+    gaps &= np.arange(ang.shape[-1] - 1) < rows[..., np.newaxis] - 1
+    return np.where(rows > 0, 2 * (1 + gaps.sum(axis=-1)), 1)
+
+
+def _additions(P, mask, rows=slice(None)):
+    """Regions each row g of P[..., rows, :] adds to the arrangement of the
+    masked rows before it, for P (..., k, d), d >= 3.
+
+    Deletion-restriction (Zaslavsky): a masked row parallel to no earlier
+    one (sines above TIE_TOL) adds the regions of the earlier rows
+    restricted to g-perp, one dimension down: their coordinates in a
+    Householder basis of g-perp, less the rows parallel to g. A row
+    parallel to an earlier one adds none.
+    """
+    k = P.shape[-2]
+    norm = np.sqrt((P * P).sum(axis=-1))
+    unit = P[..., rows, :] / np.where(mask, norm, 1.0)[..., rows, np.newaxis]
+    # the reflector I - 2 v v^T / v.v maps g onto the first axis, so its
+    # other rows span g-perp; |v[0]| >= 1 keeps v.v away from 0
+    v = unit.copy()
+    v[..., 0] += np.where(unit[..., 0] < 0.0, -1.0, 1.0)
+    scale = 2.0 * (v @ np.swapaxes(P, -1, -2)) / (v * v).sum(axis=-1)[..., np.newaxis]
+    proj = P[..., np.newaxis, :, 1:] - scale[..., np.newaxis] * v[..., np.newaxis, 1:]
+    before = mask[..., np.newaxis, :] & (np.arange(k) < np.arange(k)[rows, np.newaxis])
+    kept = before & (np.sqrt((proj * proj).sum(axis=-1)) > TIE_TOL * norm[..., np.newaxis, :])
+    new = mask[..., rows] & ~(before & ~kept).any(axis=-1)
+    return np.where(new, _region_counts(proj, kept), 0)
 
 
 # --- H-representation and membership -----------------------------------------

@@ -1,5 +1,7 @@
 """Tests for stage-indexed controllability region families."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ctrlgauge import (
     SingularA,
     TooManyGenerators,
     UnstableGrowth,
+    Zonotope,
     contains_point,
     controllability_report,
     expansion_check,
@@ -20,6 +23,8 @@ from ctrlgauge import (
     region_summary,
     stage_generators,
 )
+from ctrlgauge.oracle import SplitMix64
+from ctrlgauge.zonotope import _planar_vertex_signs, _spans
 
 
 def _chain(n):
@@ -202,16 +207,130 @@ class TestRegionSummary:
         assert "overall" in info["shapeFactors"]
         assert "planar" in info["shapeFactors"]
 
-    def test_vertex_counts_none_past_cap(self, rng):
+    def test_vertex_counts_past_cap(self, rng):
+        # stages 21 and 22 pass MAX_GENERATORS: counted, not enumerated,
+        # twice the angle classes of the planar vertex chain
         sys_ = make_system(rng, 2, scale=0.4)
         fam = reach_region(sys_, 22)
-        info = region_summary(fam)
-        counts = info["vertexCountByStage"]
-        assert counts[19] is not None
-        assert counts[20] is None and counts[21] is None
+        counts = region_summary(fam)["vertexCountByStage"]
+        assert counts[19] == len(fam.stage(20).vertices())
+        for k in (21, 22):
+            gens = fam.stage(k).generators
+            assert counts[k - 1] == len(_planar_vertex_signs(gens[_spans(gens)[0]]))
+            assert counts[k - 1] > counts[19]
+
+    def test_flat_family_past_the_volume_cap(self):
+        # B in an invariant plane: every stage is flat and reads volume 0,
+        # though C(240, 3) subsets pass MAX_VOLUME_SUBSETS
+        A = np.array([[0.6, -0.7, 0.0], [0.7, 0.6, 0.0], [0.0, 0.0, 0.9]])
+        sys_ = LdtSystem(name="plane", A=A, B=np.array([[1.0], [0.5], [0.0]]))
+        info = region_summary(reach_region(sys_, 240))
+        assert info["rank"] == 2
+        assert info["volumeByStage"] == [0.0] * 240
+        assert info["vertexCountByStage"][-1] == 480
+
+    def test_never_enumerates(self, rng, monkeypatch):
+        def refuse(self):
+            raise AssertionError("region_summary enumerated vertices")
+
+        monkeypatch.setattr(Zonotope, "vertices", refuse)
+        for n in (2, 3, 4):
+            info = region_summary(recover_region(make_system(rng, n, r=2), 3))
+            assert len(info["vertexCountByStage"]) == 3
 
     def test_vertices_raise_past_cap(self, rng):
         sys_ = make_system(rng, 2, scale=0.4)
         fam = reach_region(sys_, 22)
         with pytest.raises(TooManyGenerators):
             fam.stage(21).vertices()
+
+
+def _stable_system(rng, n, r, variant):
+    """A = P J P^-1 with eigenvalue moduli in [0.75, 1] and cond(P) < 20, B
+    uniform in [-1, 1]; variant "parallel" makes B's columns parallel,
+    "zero" zeroes one column, and "block" makes A block diagonal with B
+    inside the first block (an uncontrollable system, flat stages).
+
+    The bounded spectrum keeps stage generators between about 1e-3 and
+    1e3 and apart at sines far above TIE_TOL, inside the envelope where
+    Zonotope.vertices is exact: it merges vertices closer than DEDUP_TOL
+    and its facet walk ties generators that turn parallel at sines near
+    1e-9, which the counts do not (TestVertexCounts).
+    """
+    while True:
+        P = rng.uniform(-1, 1, (n, n))
+        if variant == "block":
+            P[:2, 2:] = 0.0
+            P[2:, :2] = 0.0
+        if np.linalg.cond(P) < 20.0:
+            break
+    J = np.zeros((n, n))
+    i = 0
+    while i < n:
+        rho = rng.uniform(0.75, 1.0)
+        if i + 1 < n and i != 1 and rng.random() < 0.5:
+            th = rng.uniform(0.2, 2.9)
+            J[i : i + 2, i : i + 2] = rho * np.array(
+                [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
+            )
+            i += 2
+        else:
+            J[i, i] = rho * rng.choice((-1.0, 1.0))
+            i += 1
+    B = rng.uniform(-1, 1, (n, r))
+    if variant == "parallel" and r > 1:
+        B[:, 1:] = B[:, :1] * rng.uniform(-2, 2, r - 1)
+    elif variant == "zero":
+        B[:, int(rng.integers(r))] = 0.0
+    elif variant == "block":
+        B[2:] = 0.0
+    return LdtSystem(name=variant, A=P @ J @ np.linalg.inv(P), B=B)
+
+
+class TestOnePassSummary:
+    @pytest.mark.parametrize("variant", ["random", "parallel", "zero", "block"])
+    def test_every_stage_matches_its_zonotope(self, variant):
+        rng = np.random.default_rng(["random", "parallel", "zero", "block"].index(variant))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(12):
+                n = int(rng.integers(3 if variant == "block" else 2, 5))
+                r = int(rng.integers(1, 4))
+                sys_ = _stable_system(rng, n, r, variant)
+                horizon = max(1, {2: 18, 3: 9, 4: 8}[n] // r)
+                for builder in (reach_region, recover_region):
+                    fam = builder(sys_, horizon)
+                    info = region_summary(fam)
+                    for k, z in enumerate(fam.stages, start=1):
+                        tag = (variant, n, r, builder.__name__, k)
+                        assert info["vertexCountByStage"][k - 1] == len(z.vertices()), tag
+                        vol, want = info["volumeByStage"][k - 1], z.volume()
+                        if z.rank() < n:
+                            assert vol == 0.0, tag
+                        else:
+                            assert vol == pytest.approx(want, rel=1e-12, abs=0.0), tag
+                    report = fam.stages[-1].shape_report()
+                    assert info["rank"] == report.rank
+                    assert info["shapeFactors"]["overall"] == pytest.approx(
+                        report.overall_shape_factor, rel=1e-12, abs=0.0
+                    )
+                    assert info["shapeFactors"]["planar"] == pytest.approx(
+                        report.to_dict()["planarShapeFactors"], rel=1e-12, abs=0.0
+                    )
+
+    def test_vertices_6_tie_stage(self):
+        # verification_suite's vertices-6 case at suite seed 18106: a 5-step
+        # planar reach stage whose generator angles differ by 9.4e-9 and
+        # 1.9e-12, both above TIE_TOL
+        rng = SplitMix64(18106)
+
+        def draw(rows, cols):
+            return (2.0 * rng.uniforms(rows * cols) - 1.0).reshape(rows, cols)
+
+        for i in range(7):
+            n = 2 if i % 2 == 0 else 3
+            sys_ = LdtSystem(f"vertex-case-{i}", draw(n, n), draw(n, 1))
+        fam = reach_region(sys_, 5)
+        counts = region_summary(fam)["vertexCountByStage"]
+        assert counts[-1] == len(fam.stage(5).vertices()) == 10
+        assert counts == [len(z.vertices()) for z in fam.stages]

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,9 +41,12 @@ from ctrlgauge.oracle import brute_vertices
 from ctrlgauge.zonotope import (
     MAX_PATTERN_ROWS,
     MAX_VOLUME_SUBSETS,
+    _count_size,
     _dedup_rows,
     _facet_normals,
     _facet_walk_signs,
+    _prefix_counts,
+    _spans,
     hform,
 )
 
@@ -496,6 +500,73 @@ class TestSpanRule:
         # a full span whose pairs all tie: no normal, a typed error
         with pytest.raises(DegenerateZonotope):
             _facet_normals(near_parallel_rows()[0])
+
+
+def _exact_count3(rows):
+    """Vertex count of a zonotope in R^3 in exact arithmetic on the float
+    rows: deletion-restriction, with a row adding 2 regions per distinct
+    line its hyperplane meets the earlier hyperplanes in (1 if none)."""
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+
+    gens = [tuple(map(Fraction, row)) for row in rows.tolist() if any(row)]
+    count = 1
+    for j, g in enumerate(gens):
+        if any(not any(cross(h, g)) for h in gens[:j]):
+            continue
+        lines = []
+        for h in gens[:j]:
+            c = cross(h, g)
+            if not any(not any(cross(c, line)) for line in lines):
+                lines.append(c)
+        count += 2 * len(lines) if lines else 1
+    return count
+
+
+class TestVertexCounts:
+    @pytest.mark.parametrize(
+        "n,m,last", [(2, 40, 80), (3, 30, 872), (4, 50, 39300), (5, 24, 21806)]
+    )
+    def test_general_position_closed_form(self, rng, n, m, last):
+        # Zaslavsky: 2 sum_{i<n} C(p-1, i) for every leading block G[:p],
+        # past the enumeration cap of 20 generators too
+        gens = rng.standard_normal((m, n))
+        counts = _prefix_counts(gens, _spans(gens))
+        want = [2 * sum(math.comb(p - 1, i) for i in range(n)) for p in range(1, m + 1)]
+        assert counts == [1] + want
+        assert counts[-1] == last
+
+    def test_exact_where_the_facet_walk_misses(self):
+        # a recover stage whose generators grow from 1e2 to 1.4e10 and turn
+        # nearly parallel: the exact count on the float rows is 32, the
+        # facet walk finds 30 vertices
+        rng = np.random.default_rng(93)
+        A = rng.uniform(-1, 1, (3, 3))
+        B = rng.uniform(-1, 1, (3, 1))
+        rows = stage_generators(LdtSystem(name="s", A=A, B=B), 6, RegionKind.RECOVER)
+        counts = _prefix_counts(rows, _spans(rows))
+        assert counts[1:] == [_exact_count3(rows[:p]) for p in range(1, 7)]
+        assert counts[-1] == 32
+        assert len(Zonotope(rows).vertices()) == 30
+
+    def test_budget_returns_none_before_allocating(self, rng):
+        # eight Gaussian rows in R^8: the first 7 are counted in their
+        # 7-dimensional span; from the eighth on the rows to sort, p^(rank-1),
+        # pass MAX_PATTERN_ROWS, and 1000 rows would need 1e21 of them
+        gens = rng.standard_normal((1000, 8))
+        assert _count_size(7, 7) <= MAX_PATTERN_ROWS < _count_size(8, 8)
+        spans = _spans(gens)
+        tracemalloc.start()
+        try:
+            counts = _prefix_counts(gens, spans)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts[:8] == [1, 2, 4, 8, 16, 32, 64, 128]
+        assert counts[8:] == [None] * 993
+        assert peak < 4 << 20
 
 
 class TestDedup:
