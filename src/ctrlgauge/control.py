@@ -14,7 +14,9 @@ facet normals built once per run of stages of one span dimension, and
 the cumulative supports of every stage along them. The gauge max|D x|/C,
 read in growing chunks of stages, decides membership and gives the
 margin 1 - gauge and a separating row; containment compares cumulative
-supports on the outer family's rows.
+supports on the outer family's rows. compare_ability's metrics and
+verify_theorem1's vertex states read the family's spans too, so each
+system's stage rows pass the span rule once.
 
 Witness inputs and strategy freedom come from a face descent on the same
 normals (_descend). A face of a zonotope is a translate of the zonotope of
@@ -34,6 +36,7 @@ normal that supports the state, and the descent walks on from there.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ import numpy as np
 
 from . import lp
 from .errors import (
+    BadRange,
     DimensionMismatch,
     Infeasible,
     InternalError,
@@ -51,16 +55,16 @@ from .errors import (
     TooManyGenerators,
 )
 from .region import RegionKind, stage_generators
-from .zonotope import EPS, MAX_GENERATORS, TIE_TOL, Zonotope, hform
-from .zonotope import _facet_normals, _normals_capped, _spans
+from .zonotope import EPS, MAX_GENERATORS, TIE_TOL, hform
+from .zonotope import _facet_normals, _normals_capped, _shape_report, _spans
+from .zonotope import _vertices, _volume
 # not called here; bench/tests looks it up as control.contains_point
 from .zonotope import contains_point  # noqa: F401
 
 BOUNDARY_TOL = 1e-7
 STRICT_TOL = 1e-9
 # membership slack on the gauge (and, off the span, on the distance
-# relative to max(1, |x|)); tighter than the LP's feasibility tolerance,
-# so the witness LP accepts every stage the gauge accepts
+# relative to max(1, |x|))
 GAUGE_TOL = 1e-10
 DECISIVE_GAP = 1e-6
 # Not read by the library, which decides every horizon exactly; kept, with
@@ -96,6 +100,9 @@ class _Family:
     rows and infinite where row i bounds nothing. capped is the first
     stage past the normal cap (span dimension 4 or more and more than
     MAX_GENERATORS live generators), or None; earlier stages have columns.
+    It is the one source of what compare_ability and verify_theorem1
+    report: the metrics take the rank dims[-1], and the vertex states
+    take live, dirs[:n] (the span basis) and dims.
     """
 
     rows: np.ndarray
@@ -111,25 +118,28 @@ def _family(rows, r):
     """The _Family of stage-major rows with r generators per stage."""
     n = rows.shape[1]
     live, basis, dims = _spans(rows)
-    span_dims = dims[r::r]
-    over = _normals_capped(np.cumsum(live)[r - 1 :: r], span_dims)
-    stages = int(np.argmax(over)) if over.any() else len(span_dims)
-    span_dims = span_dims[:stages]
-    ends = [*(np.flatnonzero(np.diff(span_dims)) + 1).tolist(), stages][:stages]
+    # per-stage bookkeeping on plain lists: a few stages, so numpy's fixed
+    # cost per call would outweigh the work
+    span_dims = dims.tolist()[r::r]
+    counts = itertools.islice(itertools.accumulate(live.tolist()), r - 1, None, r)
+    over = (_normals_capped(m, d) for m, d in zip(counts, span_dims))
+    capped = next((k for k, o in enumerate(over, 1) if o), None)
+    stages = len(span_dims) if capped is None else capped - 1
+    starts = [k for k in range(stages) if k == 0 or span_dims[k] != span_dims[k - 1]]
+    runs = list(zip(starts, [*starts[1:], stages]))
     normals = []
-    for end in ends:
+    for _, end in runs:
         span = basis[: span_dims[end - 1]]
         head = rows[: end * r][live[: end * r]]
         normals.append(_facet_normals(head @ span.T) @ span if len(span) else span)
     dirs = np.vstack([basis, *normals])
     supports = np.full((len(dirs), stages), np.inf)
-    supports[:n][np.arange(n)[:, np.newaxis] >= span_dims] = 0.0
     i = n
-    for start, end, d in zip([0, *ends], ends, normals):
+    for (start, end), d in zip(runs, normals):
+        supports[span_dims[start] : n, start:end] = 0.0
         sums = _cumulative_supports(d, rows[: end * r], r)
         supports[i : i + len(d), start:end] = sums[:, start:]
         i += len(d)
-    capped = stages + 1 if over.any() else None
     return _Family(rows, r, live, dims, dirs, supports, capped)
 
 
@@ -439,23 +449,35 @@ def _containment(inner, outer):
     ratio = np.divide(h_in, h_out, out=np.zeros_like(h_in), where=h_out > 0.0)
     worst = float(ratio.max(initial=0.0))
     scale = np.maximum(1.0, h_out)
-    failing = h_in - h_out > STRICT_TOL * scale
+    gap = h_in - h_out
+    failing = gap > STRICT_TOL * scale
+    if not failing.any():
+        return 1.0 - worst, []
+    # each failing stage's deciding row: its largest gap relative to scale
+    rel = np.divide(gap, scale, out=np.full_like(gap, -np.inf), where=failing)
     violations = []
-    for k in np.flatnonzero(failing.any(axis=0)):
-        cand = np.flatnonzero(failing[:, k])
-        j = int(cand[np.argmax((h_in[cand, k] - h_out[cand, k]) / scale[cand, k])])
+    stages = zip(failing.any(axis=0).tolist(), rel.argmax(axis=0).tolist())
+    for k, (fails, j) in enumerate(stages):
+        if not fails:
+            continue
         d = outer.dirs[j]
         rows = inner.rows[: (k + 1) * inner.r]
         violations.append(
             {
-                "stage": int(k) + 1,
+                "stage": k + 1,
                 "direction": d.tolist(),
-                "gap": float(h_in[j, k] - h_out[j, k]),
+                "gap": float(gap[j, k]),
                 "vertex": (np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows).tolist(),
             }
         )
     off_span = (failing & (h_out == 0.0)).any()
     return (None if off_span else 1.0 - worst), violations
+
+
+def _metrics(fam):
+    """Zonotope(fam.rows).shape_report().to_dict(), from the family's spans."""
+    rank = int(fam.dims[-1])
+    return _shape_report(fam.rows, rank, _volume(fam.rows, rank)).to_dict()
 
 
 def _families(sys_a, sys_b, horizon, kind):
@@ -472,8 +494,10 @@ def compare_ability(sys_a, sys_b, horizon, kind=RegionKind.REACH, seed=0):
     cumulative supports on the facet normals built once per system, no
     LP. Stages with n >= 4 and more than MAX_GENERATORS generators raise
     TooManyGenerators. The verdict names the stronger system; the
-    certificate carries the witnesses behind it. seed is accepted and
-    ignored (bench/workloads.py still passes it).
+    certificate carries the witnesses behind it. The metrics are each
+    system's Zonotope(rows).shape_report(), read from its family's rank
+    with no second span pass. seed is accepted and ignored
+    (bench/workloads.py still passes it).
     """
     fam_a, fam_b = _families(sys_a, sys_b, horizon, kind)
     margin_ab, fail_ab = _containment(fam_a, fam_b)
@@ -498,8 +522,8 @@ def compare_ability(sys_a, sys_b, horizon, kind=RegionKind.REACH, seed=0):
         "bViolations": fail_ba,
     }
     metrics = {
-        "a": {"name": sys_a.name, **Zonotope(fam_a.rows).shape_report().to_dict()},
-        "b": {"name": sys_b.name, **Zonotope(fam_b.rows).shape_report().to_dict()},
+        key: {"name": sys_.name, **_metrics(fam)}
+        for key, sys_, fam in (("a", sys_a, fam_a), ("b", sys_b, fam_b))
     }
     return AbilityVerdict(
         relation=relation,
@@ -557,9 +581,12 @@ def verify_theorem1(
     Precondition: A's stage regions are contained in B's at every stage up
     to the horizon (PreconditionNotMet otherwise), decided as in
     compare_ability. States are the final stage's vertices topped up with
-    random convex combinations of them. Each system's family is built once
-    and serves the minimum time of every state.
+    random convex combinations of them; the vertices read the family's
+    spans. Each system's family is built once and serves the minimum time
+    of every state. samples must be a positive integer (BadRange).
     """
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise BadRange(f"samples must be a positive integer, got {samples!r}")
     fam_a, fam_b = _families(sys_a, sys_b, horizon, kind)
     _, violations = _containment(fam_a, fam_b)
     if violations:
@@ -569,7 +596,7 @@ def verify_theorem1(
             f"{sys_b.name}; vertex {v['vertex']} is outside by {v['gap']:.3e} "
             f"along {v['direction']}"
         )
-    verts = Zonotope(fam_a.rows).vertices()
+    verts = _vertices(fam_a.rows, (fam_a.live, fam_a.dirs[: sys_a.n], fam_a.dims))
     if verts.shape[0] >= samples:
         states = verts[:samples]
     else:

@@ -140,12 +140,7 @@ class Zonotope:
         MAX_PATTERN_ROWS facet corner patterns (n >= 7 with many
         generators), checked before anything is built.
         """
-        if self.m > MAX_GENERATORS:
-            raise TooManyGenerators(
-                f"{self.m} generators exceed the enumeration cap {MAX_GENERATORS}"
-            )
-        G = self.generators
-        return _dedup_rows(_vertex_signs(G, self._span_rule) @ G)
+        return _vertices(self.generators, self._span_rule)
 
     def volume(self):
         """Exact volume 2^n * sum over n-subsets of |det|; 0 when flat.
@@ -445,6 +440,15 @@ def _facet_walk_signs(gens):
     return np.vstack(signs)
 
 
+def _vertices(G, spans):
+    """Zonotope(G).vertices() given _spans(G), cap check included."""
+    if len(G) > MAX_GENERATORS:
+        raise TooManyGenerators(
+            f"{len(G)} generators exceed the enumeration cap {MAX_GENERATORS}"
+        )
+    return _dedup_rows(_vertex_signs(G, spans) @ G)
+
+
 def _vertex_signs(G, spans):
     """Sign rows s, 0 where a row is not live, with the vertex candidates
     of G's zonotope at s @ G (sums of the generators), given _spans(G)."""
@@ -640,7 +644,7 @@ def hform(gens):
 
 def _normals_capped(m, rank):
     """Whether hform raises TooManyGenerators for m live generators
-    spanning rank dimensions; elementwise on arrays."""
+    spanning rank dimensions."""
     return (rank >= 4) & (m > MAX_GENERATORS)
 
 

@@ -1,6 +1,7 @@
 """Tests for minimum-time control, strategy freedom, and ability comparison."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import AC_MODEL, DC_MODEL, make_system, near_parallel_rows
 from ctrlgauge import (
+    BadRange,
     BoxLp,
     LdtSystem,
     NotMember,
@@ -32,7 +34,7 @@ from ctrlgauge import (
 )
 from ctrlgauge import control, lp, zonotope
 from ctrlgauge.control import EPS, GAUGE_TOL, _descend, _family, _stage_gauges
-from ctrlgauge.errors import CtrlGaugeError, InternalError, UnstableGrowth
+from ctrlgauge.errors import CtrlGaugeError, InternalError, SingularA, UnstableGrowth
 from ctrlgauge.zonotope import _spans, hform
 from polytope_enum import _rank, affine_dim
 
@@ -738,6 +740,14 @@ class TestFaceDescent:
         style=st.sampled_from(DESCENT_STYLES),
         where=st.sampled_from(["vertex", "edge", "interior"]),
     )
+    # draws where an absolute residual bound (1e-7) in the enumeration
+    # reference lets u slide along a singular value of 3.3e-10 (two
+    # vertices, spread 2) or splits a vertex at entries near 1e7 into four,
+    # 9.6e-9 apart
+    @example(seed=43916, n=4, r=1, horizon=4, recover=False, style="nilpotent",
+             where="interior")
+    @example(seed=151574, n=2, r=1, horizon=5, recover=True, style="plain",
+             where="vertex")
     def test_property_matches_lp(self, seed, n, r, horizon, recover, style, where):
         rng = np.random.default_rng(seed)
         if style == "flat" and n == 2:
@@ -1042,6 +1052,87 @@ class TestCompareAbility:
         assert "volume" in verdict.metrics["a"]
 
 
+def _theorem_states(monkeypatch):
+    """Record the states verify_theorem1 hands to _min_time, with a stub
+    answer in place of the minimum time (the same for both systems)."""
+    states = []
+
+    def stub(fam, x, kind):
+        states.append(x)
+        return SimpleNamespace(min_steps=1, strategy_dim=0)
+
+    monkeypatch.setattr(control, "_min_time", stub)
+    return states
+
+
+class TestReadsTheFamily:
+    # compare_ability's metrics and verify_theorem1's states come from each
+    # system's family, and answer as the public Zonotope path does
+
+    def test_parity_with_the_public_path(self, monkeypatch):
+        rng = np.random.default_rng(2604)
+        states = _theorem_states(monkeypatch)
+        # full rank, a zero input column, B in an invariant plane of A
+        cases = [(n, r, style) for n in (2, 3, 4) for r in (1, 2, 3)
+                 for style in ("plain", "zero", "flat") if (style, n) != ("flat", 2)]
+        checked = set()
+        for n, r, style in cases:
+            base = _descent_system(rng, n, r, style)
+            scaled = LdtSystem(name="b", A=base.A, B=1.5 * base.B)
+            for kind in RegionKind:
+                for horizon in range(1, 7):
+                    try:
+                        rows_a = stage_generators(base, horizon, kind)
+                        rows_b = stage_generators(scaled, horizon, kind)
+                    except (SingularA, UnstableGrowth):
+                        continue
+                    tag = f"n={n} r={r} {style} {kind.value} N={horizon}"
+                    verdict = compare_ability(base, scaled, horizon, kind=kind)
+                    for key, sys_, rows in (("a", base, rows_a), ("b", scaled, rows_b)):
+                        shape = Zonotope(rows).shape_report().to_dict()
+                        assert verdict.metrics[key] == {"name": sys_.name, **shape}, tag
+                    verts = Zonotope(rows_a).vertices()
+                    states.clear()
+                    verify_theorem1(base, scaled, horizon, kind=kind,
+                                    samples=len(verts) + 2)
+                    # each state goes to A's family, then to B's
+                    got = np.array(states[::2])[: len(verts)]
+                    assert np.array_equal(got, verts), tag
+                    checked.add((n, r, style, kind))
+        assert len(checked) == 2 * len(cases)
+
+    def test_no_zonotope_and_one_span_pass(self, rng, monkeypatch):
+        # the planar projections' own _spans calls are allowed; the stage
+        # rows go through the span rule once per system, in _family
+        sys_a = make_system(rng, 3, r=2, name="a")
+        sys_b = LdtSystem(name="b", A=sys_a.A, B=1.5 * sys_a.B)
+        rows = [stage_generators(s, 3, RegionKind.REACH) for s in (sys_a, sys_b)]
+        seen = []
+
+        def counted(G):
+            seen.append(G)
+            return real(G)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Zonotope was built")
+
+        real = zonotope._spans
+        monkeypatch.setattr(zonotope, "_spans", counted)
+        monkeypatch.setattr(control, "_spans", counted)
+        monkeypatch.setattr(Zonotope, "__init__", refuse)
+        _theorem_states(monkeypatch)
+        for call in (
+            lambda: compare_ability(sys_a, sys_b, 3),
+            lambda: verify_theorem1(sys_a, sys_b, 3, samples=5),
+        ):
+            seen.clear()
+            call()
+            for stage_rows in rows:
+                passes = [G for G in seen if G.shape == stage_rows.shape
+                          and np.array_equal(G, stage_rows)]
+                assert len(passes) == 1
+
+
 class TestTheorem:
     def test_nested_pair_passes(self, rng):
         sys_a = make_system(rng, 2, name="a", scale=0.8)
@@ -1061,6 +1152,14 @@ class TestTheorem:
         sys_b = LdtSystem(name="b", A=sys_a.A, B=0.5 * sys_a.B)
         with pytest.raises(PreconditionNotMet):
             verify_theorem1(sys_a, sys_b, 4, samples=10, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, "3", None])
+    def test_samples_must_be_a_positive_integer(self, rng, samples):
+        # -3 would slice verts[:-3] and pass on the remaining states
+        sys_a = make_system(rng, 2, name="a", scale=0.7)
+        sys_b = LdtSystem(name="b", A=sys_a.A, B=2.0 * sys_a.B)
+        with pytest.raises(BadRange, match="samples must be a positive integer"):
+            verify_theorem1(sys_a, sys_b, 4, samples=samples)
 
     def test_report_dict_keys(self, rng):
         sys_a = make_system(rng, 2, name="a", scale=0.7)
