@@ -48,6 +48,14 @@ EXIT_SINGULAR = 4
 EXIT_UNSTABLE = 5
 EXIT_UNREACHABLE = 6
 EXIT_MISMATCH = 7
+# library errors by exit code, most specific first: the first match decides
+_EXIT_CODES = (
+    (MissingTarget, EXIT_NO_TARGET),
+    (SingularA, EXIT_SINGULAR),
+    (UnstableGrowth, EXIT_UNSTABLE),
+    (NotReachable, EXIT_UNREACHABLE),
+    (CtrlGaugeError, EXIT_FAILURE),
+)
 
 
 class _CliFailure(Exception):
@@ -416,21 +424,9 @@ def main(argv=None):
     except _CliFailure as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
-    except MissingTarget as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_TARGET
-    except SingularA as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except UnstableGrowth as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except NotReachable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
     except CtrlGaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -109,24 +109,27 @@ class ValidationReport:
     relative_det: float
 
 
-def validate(sys):
-    """Report finiteness, dimension agreement, and invertibility of A.
+def _invertible(A):
+    """(A passes the singularity rule, its relative determinant).
 
-    Invertibility compares |det A| against the product of the row norms
-    of A (a Hadamard-style scale), flagging ratios below 1e-12.
+    The relative determinant is |det A| over the product of the row norms
+    of A (a Hadamard-style scale); A is invertible when it is at least
+    SINGULARITY_TOL.
     """
+    scale = float(np.prod(np.linalg.norm(A, axis=1)))
+    rel = 0.0 if scale == 0.0 else float(abs(np.linalg.det(A)) / scale)
+    return rel >= SINGULARITY_TOL, rel
+
+
+def validate(sys):
+    """Report finiteness, dimension agreement, and invertibility of A (_invertible)."""
     finite = bool(np.isfinite(sys.A).all() and np.isfinite(sys.B).all())
-    row_norms = np.linalg.norm(sys.A, axis=1)
-    scale = float(np.prod(row_norms))
-    if not finite or scale == 0.0:
-        rel = 0.0
-    else:
-        rel = float(abs(np.linalg.det(sys.A)) / scale)
+    invertible, rel = _invertible(sys.A) if finite else (False, 0.0)
     return ValidationReport(
         n=sys.n,
         r=sys.r,
         finite=finite,
-        invertible=rel >= SINGULARITY_TOL,
+        invertible=invertible,
         relative_det=rel,
     )
 

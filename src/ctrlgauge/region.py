@@ -3,8 +3,10 @@
 Under the unit input amplitude bound, the set of states reachable from the
 origin in k steps (and the set recoverable to the origin in k steps, when
 the state matrix is invertible) are origin-symmetric zonotopes whose
-generators are columns of powers of A applied to B. A RegionFamily holds
-the nested stages k = 1..N of one kind.
+generators are columns of powers of A applied to B. Stage k is generated
+by the first k*r rows of one stage-major block, so a RegionFamily is that
+block for the nested stages k = 1..N of one kind; every report here reads
+the block, and a stage's Zonotope is built only when stage(k) asks for it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     SingularA,
     UnstableGrowth,
 )
-from .model import validate
+from .model import _invertible
 from .zonotope import Zonotope, _prefix_counts, _prefix_volumes, _shape_report, _spans
 
 GROWTH_LIMIT = 1e12
@@ -31,20 +33,28 @@ class RegionKind(enum.Enum):
     RECOVER = "recover"
 
 
-@dataclass(frozen=True)
+# eq=False: families compare and hash by identity; rows is an array
+@dataclass(frozen=True, eq=False)
 class RegionFamily:
-    """Stages 1..horizon of one region kind; stage k has k*r generators."""
+    """Stages 1..horizon of one region kind as their stage-major rows.
+
+    rows is the read-only generator block of the final stage, r rows per
+    step (stage_generators); stage k is the zonotope of rows[:k*r].
+    """
 
     system: object
     kind: RegionKind
-    horizon: int
-    stages: tuple
+    rows: np.ndarray
+
+    @property
+    def horizon(self):
+        return len(self.rows) // self.system.r
 
     def stage(self, k):
-        """1-based stage accessor."""
+        """1-based stage accessor; builds the stage's Zonotope on each call."""
         if not 1 <= k <= self.horizon:
             raise BadRange(f"stage {k} outside 1..{self.horizon}")
-        return self.stages[k - 1]
+        return Zonotope(self.rows[: k * self.system.r])
 
 
 def stage_generators(sys, horizon, kind):
@@ -56,38 +66,31 @@ def stage_generators(sys, horizon, kind):
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise BadRange(f"horizon must be a positive integer, got {horizon!r}")
-    blocks = []
+    A = sys.A
     if kind is RegionKind.REACH:
-        M = sys.B.copy()
-        for i in range(horizon):
-            if i > 0:
-                M = sys.A @ M
-            if np.abs(M).max() > GROWTH_LIMIT:
-                raise UnstableGrowth(
-                    f"generator entries exceeded {GROWTH_LIMIT:g} at step {i}"
-                )
-            blocks.append(M.T.copy())
+        M, step = sys.B, lambda X: A @ X
     elif kind is RegionKind.RECOVER:
-        if not validate(sys).invertible:
+        if not _invertible(A)[0]:
             raise SingularA("state matrix is singular; recover regions undefined")
-        M = sys.B.copy()
-        for i in range(horizon):
-            M = np.linalg.solve(sys.A, M)
-            if np.abs(M).max() > GROWTH_LIMIT:
-                raise UnstableGrowth(
-                    f"generator entries exceeded {GROWTH_LIMIT:g} at step {i}"
-                )
-            blocks.append(M.T.copy())
+        M, step = np.linalg.solve(A, sys.B), lambda X: np.linalg.solve(A, X)
     else:
         raise ValueError(f"unknown region kind {kind!r}")
+    blocks = []
+    for i in range(horizon):
+        if i > 0:
+            M = step(M)
+        if np.abs(M).max() > GROWTH_LIMIT:
+            raise UnstableGrowth(
+                f"generator entries exceeded {GROWTH_LIMIT:g} at step {i}"
+            )
+        blocks.append(M.T.copy())
     return np.vstack(blocks)
 
 
 def _build_family(sys, horizon, kind):
     rows = stage_generators(sys, horizon, kind)
-    r = sys.r
-    stages = tuple(Zonotope(rows[: k * r]) for k in range(1, horizon + 1))
-    return RegionFamily(system=sys, kind=kind, horizon=horizon, stages=stages)
+    rows.flags.writeable = False
+    return RegionFamily(system=sys, kind=kind, rows=rows)
 
 
 def reach_region(sys, horizon):
@@ -172,7 +175,8 @@ def expansion_check(family, stage_from, stage_to):
     generators added between the stages span the full state space. When
     they do not, any direction orthogonal to all added generators keeps
     the support unchanged, so the two stage boundaries touch; one such
-    witness direction (from _spans) is returned with its (zero) gap.
+    witness direction (from _spans) is returned with its gap, the support
+    the added generators have along it, sum |g . w| (zero up to rounding).
     """
     if (
         not isinstance(stage_from, (int, np.integer))
@@ -184,16 +188,11 @@ def expansion_check(family, stage_from, stage_to):
             f"need 1 <= from < to <= {family.horizon}, got ({stage_from}, {stage_to})"
         )
     r = family.system.r
-    big = family.stage(stage_to).generators
-    added = big[stage_from * r : stage_to * r]
-    n = big.shape[1]
+    added = family.rows[stage_from * r : stage_to * r]
     _, basis, dims = _spans(added)
     added_rank = int(dims[-1])
-    witness = basis[-1] if added_rank < n else None
-    gap = None
-    if witness is not None:
-        gap = float(family.stage(stage_to).support(witness)
-                    - family.stage(stage_from).support(witness))
+    witness = basis[-1] if added_rank < added.shape[1] else None
+    gap = None if witness is None else float(np.abs(added @ witness).sum())
     return ExpansionReport(
         verdict="StrictlyExpanding" if witness is None else "WeaklyExpanding",
         added_rank=added_rank,
@@ -213,13 +212,12 @@ def region_summary(family):
     deletion-restriction (zonotope._prefix_counts). A count is None only
     past the count budget; no stage's vertices are enumerated.
     """
-    final = family.stages[-1]
-    rows = final.generators
-    spans = final._span_rule
+    rows = family.rows
+    spans = _spans(rows)
     ends = family.system.r * np.arange(1, family.horizon + 1)
     volumes = _prefix_volumes(rows, spans[2])[ends].tolist()
     counts = _prefix_counts(rows, spans)
-    report = _shape_report(rows, final.rank(), volumes[-1])
+    report = _shape_report(rows, int(spans[2][-1]), volumes[-1])
     return {
         "kind": family.kind.value,
         "N": family.horizon,

@@ -209,7 +209,7 @@ def test_criterion_04_expansion_is_strict_iff_controllable():
         # draws whose later blocks collapse toward a dominant eigenvector
         # sit below what float64 can rank reliably, so keep the ensemble
         # away from that numerical cliff
-        rows = fam.stages[-1].generators
+        rows = fam.stage(horizon).generators
         conditioned = True
         for n1 in range(1, horizon):
             for n2 in range(n1 + n, horizon + 1):

@@ -1,5 +1,6 @@
 """Tests for stage-indexed controllability region families."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -22,7 +23,9 @@ from ctrlgauge import (
     recover_region,
     region_summary,
     stage_generators,
+    validate,
 )
+from ctrlgauge.model import SINGULARITY_TOL
 from ctrlgauge.oracle import SplitMix64
 from ctrlgauge.zonotope import _planar_vertex_signs, _spans
 
@@ -72,6 +75,20 @@ class TestStageGenerators:
         with pytest.raises(SingularA):
             stage_generators(sys_, 2, RegionKind.RECOVER)
 
+    @pytest.mark.parametrize("ratio", [0.99e-12, 1.01e-12])
+    def test_singularity_rule_at_its_threshold(self, ratio):
+        # det A = ratio and the row norms multiply to 1 in float64, so the
+        # relative determinant is the ratio, 1 % off the threshold either way
+        sys_ = LdtSystem(name="edge", A=[[1.0, 0.0], [1.0, ratio]], B=[[1.0], [1.0]])
+        rep = validate(sys_)
+        assert rep.relative_det == pytest.approx(ratio, rel=1e-9)
+        assert rep.invertible is (ratio >= SINGULARITY_TOL)
+        if rep.invertible:
+            assert recover_region(sys_, 1).horizon == 1
+        else:
+            with pytest.raises(SingularA):
+                recover_region(sys_, 1)
+
 
 class TestFamilies:
     def test_stage_indexing(self, rng):
@@ -85,6 +102,31 @@ class TestFamilies:
             fam.stage(0)
         with pytest.raises(BadRange):
             fam.stage(6)
+
+    def test_family_is_its_rows(self, rng):
+        sys_ = make_system(rng, 3, r=2)
+        for kind, builder in ((RegionKind.REACH, reach_region),
+                              (RegionKind.RECOVER, recover_region)):
+            fam = builder(sys_, 4)
+            assert [f.name for f in dataclasses.fields(fam)] == ["system", "kind", "rows"]
+            assert not fam.rows.flags.writeable
+            with pytest.raises(ValueError):
+                fam.rows[0, 0] = 1.0
+            rows = stage_generators(sys_, 4, kind)
+            for k in range(1, 5):
+                assert np.array_equal(fam.stage(k).generators, rows[: 2 * k])
+
+    def test_reports_build_no_zonotope(self, rng, monkeypatch):
+        def refuse(self, generators):
+            raise AssertionError("a region report built a Zonotope")
+
+        sys_ = make_system(rng, 3)
+        monkeypatch.setattr(Zonotope, "__init__", refuse)
+        for builder in (reach_region, recover_region):
+            fam = builder(sys_, 4)
+            region_summary(fam)
+            expansion_check(fam, 1, 3)
+        controllability_report(sys_, 4)
 
     def test_stages_nest(self, rng):
         # every stage-k vertex stays inside stage k+1
@@ -178,6 +220,24 @@ class TestExpansionCheck:
         assert trep.support_gap == pytest.approx(0.0, abs=1e-9)
         gap = tfam.stage(4).support(w) - tfam.stage(2).support(w)
         assert gap == pytest.approx(0.0, abs=1e-9)
+
+    def test_gap_from_added_rows_is_nonnegative(self):
+        # the difference of the stage 3 and stage 1 supports came out at
+        # -1.9e-16 here; the added rows' own support cannot be negative
+        A = [
+            [-1.3109829393730736, -0.13014991414680582, 1.598938579494171],
+            [0.7833234877124252, 0.8948363683743638, -0.5834727418531667],
+            [-0.42367005154581916, -0.033160254187252776, 1.192351669039883],
+        ]
+        B = [[0.5207465919803644], [0.9858977174972121], [-0.7040237024758706]]
+        fam = recover_region(LdtSystem(name="gap", A=A, B=B), 3)
+        rep = expansion_check(fam, 1, 3)
+        assert rep.verdict == "WeaklyExpanding"
+        assert 0.0 <= rep.support_gap <= 1e-15
+        w = rep.witness_direction
+        assert rep.support_gap == pytest.approx(
+            fam.stage(3).support(w) - fam.stage(1).support(w), abs=1e-15
+        )
 
     def test_bad_stage_order(self):
         fam = reach_region(_chain(2), 4)
@@ -301,7 +361,8 @@ class TestOnePassSummary:
                 for builder in (reach_region, recover_region):
                     fam = builder(sys_, horizon)
                     info = region_summary(fam)
-                    for k, z in enumerate(fam.stages, start=1):
+                    for k in range(1, horizon + 1):
+                        z = fam.stage(k)
                         tag = (variant, n, r, builder.__name__, k)
                         assert info["vertexCountByStage"][k - 1] == len(z.vertices()), tag
                         vol, want = info["volumeByStage"][k - 1], z.volume()
@@ -309,7 +370,7 @@ class TestOnePassSummary:
                             assert vol == 0.0, tag
                         else:
                             assert vol == pytest.approx(want, rel=1e-12, abs=0.0), tag
-                    report = fam.stages[-1].shape_report()
+                    report = fam.stage(horizon).shape_report()
                     assert info["rank"] == report.rank
                     assert info["shapeFactors"]["overall"] == pytest.approx(
                         report.overall_shape_factor, rel=1e-12, abs=0.0
@@ -333,4 +394,4 @@ class TestOnePassSummary:
         fam = reach_region(sys_, 5)
         counts = region_summary(fam)["vertexCountByStage"]
         assert counts[-1] == len(fam.stage(5).vertices()) == 10
-        assert counts == [len(z.vertices()) for z in fam.stages]
+        assert counts == [len(fam.stage(k).vertices()) for k in range(1, 6)]

@@ -184,7 +184,8 @@ class TestFacetWalk:
         b = np.array([1.0, 0.5, 0.2])
         fam = reach_region(LdtSystem(name="par", A=A, B=np.stack([b, 1.5 * b], 1)), 3)
         assert region_summary(fam)["vertexCountByStage"] == [2, 4, 8]
-        for z in fam.stages:
+        for k in range(1, 4):
+            z = fam.stage(k)
             assert_vertex_sets_match(z.vertices(), brute_vertices(z))
 
     def test_pattern_cap_raises_before_allocating(self, rng):
