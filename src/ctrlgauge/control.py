@@ -30,8 +30,9 @@ so noise along a thin facet does not rescale the inputs; flat stages are
 walked inside their span, and the witness is replayed against x itself,
 off-span rounding included; the strategy dimension ranks by the span
 rule. The LP runs only for stages whose normals are capped (n >= 4 past
-MAX_GENERATORS generators): the max-margin LP gives their gauge and the
-normal that supports the state, and the descent walks on from there.
+MAX_GENERATORS generators): the gauge LP of n rows behind lp.max_margin
+gives their gauge and the normal that supports (or, outside, separates)
+the state, and the descent walks on from there.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
+from .lp import GAUGE_TOL
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -63,9 +65,6 @@ from .zonotope import contains_point  # noqa: F401
 
 BOUNDARY_TOL = 1e-7
 STRICT_TOL = 1e-9
-# membership slack on the gauge (and, off the span, on the distance
-# relative to max(1, |x|))
-GAUGE_TOL = 1e-10
 DECISIVE_GAP = 1e-6
 # Not read by the library, which decides every horizon exactly; kept, with
 # compare_ability's seed keyword, because bench/workloads.py reads both.
@@ -184,10 +183,11 @@ def _stage_gauges(fam, x, start=1):
 
     The stages with normals are read in chunks of 8, 16, 32, ... columns,
     so a caller that stops at an early stage reads few of them. Stages
-    from fam.capped on take the max-margin LP, whose separating direction
-    (the Farkas certificate of an Infeasible answer) may be None; its
-    gauge 1 - margin within GAUGE_TOL of 1 counts as 1, so a
-    rounding-level negative margin does not put a boundary state outside.
+    from fam.capped on take lp.max_margin's gauge LP, which decides
+    membership by the rule _gauges uses: outside, the gauge is infinite
+    and the direction is the LP's separating one; inside, the gauge is
+    1 - margin, at most 1, so a rounding-level negative margin does not
+    put a boundary state outside.
     """
     stages = len(fam.rows) // fam.r
     lo = start - 1
@@ -196,8 +196,8 @@ def _stage_gauges(fam, x, start=1):
         lo = 2 * lo + 8
     for k in range(max(start, fam.capped or stages + 1), stages + 1):
         try:
-            gauge = 1.0 - lp.max_margin(_box_lp(fam.rows[: k * fam.r], x)).margin
-            yield (min(gauge, 1.0) if gauge <= 1.0 + GAUGE_TOL else gauge), None
+            margin = lp.max_margin(_box_lp(fam.rows[: k * fam.r], x)).margin
+            yield min(1.0 - margin, 1.0), None
         except Infeasible as exc:
             yield math.inf, exc.certificate
 
@@ -246,11 +246,12 @@ def _descend(fam, k, x):
     normals, deeper ones call hform on the tied rows; where the normals
     are capped (stage k from fam.capped on, or a tied set past
     MAX_GENERATORS) the level's one normal is lp.max_margin's direction,
-    which supports y's face. A gauge within the rounding bound of 1
-    counts as 1, so noise along a thin facet does not rescale the
-    inputs. Generators that are not live (zonotope._spans) get
-    input 0 and stay free; the free mask adds the active generators of the
-    first level whose gauge is more than BOUNDARY_TOL below 1. The witness
+    the duals of its gauge LP's n rows, which supports y's face. A gauge
+    within the rounding bound of 1 counts as 1, so noise along a thin
+    facet does not rescale the inputs. Generators that are not live
+    (zonotope._spans) get input 0 and stay free; the free mask adds the
+    active generators of the first level whose gauge is more than
+    BOUNDARY_TOL below 1. The witness
     must replay within lp.RESIDUAL_TOL on the equations and the box, or
     InternalError.
     """

@@ -13,8 +13,9 @@ variable more than PIVOT_TOL past its bound), so runs are deterministic.
 Finite boxes rule out unbounded rays; meeting one raises InternalError.
 
 The library itself calls max_margin only, on stages past the facet-normal
-cap: for the gauge, and for the normal its face descent starts from.
-feasible and optimize are kept as public entry points.
+cap: for the gauge, and for the normal its face descent starts from. Its
+LP has n rows and m + 1 columns; an outside state gets the LP's dual
+direction as certificate. feasible and optimize stay public.
 
 Witnesses are always re-verified after the fact: equality residual within
 RESIDUAL_TOL, bounds within BOUND_TOL. Per-iteration state can be dumped
@@ -34,13 +35,16 @@ from .errors import (
     InternalError,
     IterationLimit,
 )
+from .zonotope import EPS
 
 logger = logging.getLogger("ctrlgauge.lp")
 
 PIVOT_TOL = 1e-10
 BOUND_TOL = 1e-9
 RESIDUAL_TOL = 1e-7
-MARGIN_TOL = 1e-8
+# membership slack on the gauge (and, in control, off the span on the
+# distance relative to max(1, |x|))
+GAUGE_TOL = 1e-10
 ITERATION_LIMIT = 50000
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
@@ -341,62 +345,55 @@ def optimize(lp, sense="min"):
 def max_margin(lp):
     """Largest uniform shrink s of the box keeping G u = x0 solvable.
 
-    Maximizes s subject to G u = x0, lower + s <= u <= upper - s,
-    0 <= s <= 1. A margin of zero (within 1e-8) means x0 sits on the
-    boundary of the reachable set; raises Infeasible when x0 is outside
-    even the unshrunk box image.
+    The box must have one width: lower = c - h and upper = c + h for one
+    half-width h > 0 (ValueError otherwise). With y = x0 - G c and the
+    gauge of y in the zonotope of G's columns, the margin is
+    min(s_cap, h - gauge) for s_cap = min(1, h); a margin of zero, within
+    rounding, means x0 sits on the boundary of the reachable set. The gauge
+    comes from one LP of n rows and m + 1 columns,
 
-    direction is a unit vector d with d . x0 >= 0, from the phase-2 duals
-    of the G u = x0 rows. Over the unit box it supports the shrunken
-    image at x0: d . x0 = (1 - margin) sum_j |d . g_j| for the columns g_j
-    of G, so at a margin below 1 it is the normal of a face through x0.
+        maximize t   subject to   G v - t y = 0,   |v| <= 1,   0 <= t <= T,
+
+    as 1/t, and the witness is c + v/t. T = 1/max(h - s_cap, EPS h), so
+    y = 0 stops at the margin cap. v = 0, t = 0 is feasible, so phase 1
+    fails only by rounding (InternalError).
+
+    direction is a unit vector d with d . y >= 0, from the duals of the n
+    rows. It supports the gauge's multiple of the zonotope at y:
+    d . y = gauge sum_j |d . g_j| over the columns g_j of G, so at a
+    margin below s_cap it is the normal of a face through x0. x0 is
+    outside the box image when d separates it by more than rounding, the
+    rule control._gauges reads stage gauges by: d . y > C (1 + GAUGE_TOL)
+    + (m + 1) EPS (|d| . |y| + C) with C = h sum_j |d . g_j|. Then
+    Infeasible is raised with d as its certificate.
     """
     n, m = lp.G.shape
     span = lp.upper - lp.lower
-    s_cap = float(min(1.0, 0.5 * span.min()))
-    if s_cap < 0.0:
-        s_cap = 0.0
-    # variables: u (m), s (1), hi-slack w (m), lo-slack v (m)
-    #   G u = x0
-    #   u_i + s + w_i = upper_i
-    #  -u_i + s + v_i = -lower_i
-    ncols = 3 * m + 1
-    A = np.zeros((n + 2 * m, ncols))
-    A[:n, :m] = lp.G
-    A[n : n + m, :m] = np.eye(m)
-    A[n : n + m, m] = 1.0
-    A[n : n + m, m + 1 : 2 * m + 1] = np.eye(m)
-    A[n + m :, :m] = -np.eye(m)
-    A[n + m :, m] = 1.0
-    A[n + m :, 2 * m + 1 :] = np.eye(m)
-    b = np.concatenate([lp.x0, lp.upper, -lp.lower])
-    lower = np.concatenate([lp.lower, [0.0], np.zeros(2 * m)])
-    upper = np.concatenate([lp.upper, [s_cap], np.tile(span, 2)])
-    c = np.zeros(ncols)
-    c[m] = -1.0  # maximize s
-    solver = _Simplex(A, b, lower, upper)
-    ok, full, phase1, y = solver.solve(c)
+    width = float(span.max(initial=0.0))
+    if width <= 0.0 or float(span.min()) < width * (1.0 - 4.0 * EPS):
+        raise ValueError("max_margin needs a box of one positive width")
+    h = 0.5 * width
+    s_cap = min(1.0, h)
+    centre = 0.5 * (lp.lower + lp.upper)
+    y = lp.x0 - lp.G @ centre
+    A = np.hstack([lp.G, -y[:, np.newaxis]])
+    lower = np.append(np.full(m, -1.0), 0.0)
+    upper = np.append(np.ones(m), 1.0 / max(h - s_cap, EPS * h))
+    solver = _Simplex(A, np.zeros(n), lower, upper)
+    ok, z, phase1, _ = solver.solve(np.append(np.zeros(m), -1.0))
     if not ok:
-        raise Infeasible(
-            f"state is outside the region (phase-1 residual {phase1:.3e})",
-            certificate=_farkas_certificate(lp, y[:n]),
-        )
-    s = float(full[m])
-    u = full[:m]
+        raise InternalError(f"gauge LP: phase 1 left a residual of {phase1:.3e}")
+    norm = float(np.linalg.norm(solver.duals))
+    d = solver.duals / norm if norm > 0.0 else np.eye(n)[0]
+    d = d if d @ y >= 0.0 else -d
+    support = h * float(np.abs(d @ lp.G).sum())
+    rounding = (m + 1) * EPS * (float(np.abs(d) @ np.abs(y)) + support)
+    gap = float(d @ y) - support
+    if gap > GAUGE_TOL * support + rounding:
+        raise Infeasible(f"state is outside the region by {gap:.3e}", certificate=d)
+    t = float(z[m])
+    if t <= 0.0:
+        raise InternalError("gauge LP: infinite gauge on a state the rule keeps")
+    u = centre + z[:m] / t
     _verify_witness(lp, u, "max_margin")
-    shrink_viol = float(
-        max(
-            np.max(lp.lower + s - u, initial=0.0),
-            np.max(u - (lp.upper - s), initial=0.0),
-        )
-    )
-    if shrink_viol > MARGIN_TOL:
-        raise InternalError(
-            f"max_margin witness violates shrunken bounds by {shrink_viol:.3e}"
-        )
-    # phase-2 duals of the G u = x0 rows: a subgradient of the gauge at x0,
-    # zero only when s sits at its cap
-    y = solver.duals[:n]
-    norm = float(np.linalg.norm(y))
-    d = y / norm if norm > 0.0 else np.eye(n)[0]
-    return MarginResult(margin=s, witness=u, direction=d if d @ lp.x0 >= 0.0 else -d)
+    return MarginResult(margin=min(s_cap, h - 1.0 / t), witness=u, direction=d)

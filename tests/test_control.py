@@ -12,6 +12,7 @@ from conftest import AC_MODEL, DC_MODEL, make_system, near_parallel_rows
 from ctrlgauge import (
     BadRange,
     BoxLp,
+    Infeasible,
     LdtSystem,
     NotMember,
     NotReachable,
@@ -218,8 +219,12 @@ class TestMinTimeLpFallback:
         rows = stage_generators(sys_, 8, RegionKind.REACH)
         d = rng.standard_normal(4)
         x0 = 1.1 * (np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows)
-        with pytest.raises(NotReachable):
+        with pytest.raises(NotReachable) as info:
             min_time(sys_, x0, max_steps=8)
+        # the gauge LP's direction separates the state from stage 8
+        cert = info.value.certificate
+        assert cert is not None
+        assert float(cert @ x0) > Zonotope(rows).support(cert) + 1e-9
 
 
 @pytest.fixture
@@ -300,6 +305,52 @@ class TestCappedParity:
             assert {name for name, _ in calls} == {"max_margin"}
             if where == "vertex":
                 assert ("max_margin", 8) in calls
+
+
+
+class TestGaugeLpParity:
+    # one membership rule: on stages below the cap, where the family's
+    # normals decide, the gauge LP says outside exactly where the normals
+    # do, and its 1 - margin is their gauge
+    def test_random_stages(self):
+        rng = np.random.default_rng(14)
+        worst = 0.0
+        for _ in range(300):
+            n, r, horizon = (int(k) for k in rng.integers([2, 1, 1], [5, 3, 6]))
+            rows = stage_generators(make_system(rng, n, r=r), horizon, RegionKind.REACH)
+            m = len(rows)
+            vertex = np.sign(rows @ rng.standard_normal(n)) @ rows
+            states = [vertex, 0.5 * vertex, 1.3 * vertex, (1.0 - 5e-8) * vertex,
+                      rows.T @ rng.uniform(-0.5, 0.5, m)]
+            for x in states:
+                gauge = _stage_gauge(rows, x)[0]
+                box = BoxLp(G=rows.T, x0=x, lower=-np.ones(m), upper=np.ones(m))
+                if gauge > 1.0:
+                    with pytest.raises(Infeasible):
+                        lp.max_margin(box)
+                else:
+                    worst = max(worst, abs(1.0 - lp.max_margin(box).margin - gauge))
+        assert worst <= 1e-12
+
+    def test_rounding_level_column_vertices_are_members(self):
+        # the recover stages of a rounding-level input column (1e-14) with
+        # generator entries up to about 1e10: no vertex reads outside
+        for seed in range(640):
+            rng = np.random.default_rng(seed)
+            A = rng.uniform(-1, 1, (3, 3))
+            B = rng.uniform(-1, 1, (3, 2))
+            B[:, 1] *= 1e-14
+            sys_ = LdtSystem(name="t", A=A, B=B)
+            try:
+                rows = stage_generators(sys_, 6, RegionKind.RECOVER)
+            except UnstableGrowth:
+                continue
+            x = np.sign(rows @ rng.standard_normal(3)) @ rows
+            box = BoxLp(G=rows.T, x0=x, lower=-np.ones(12), upper=np.ones(12))
+            try:
+                lp.max_margin(box)
+            except InternalError:
+                pass  # a replay past double precision: a typed refusal
 
 
 class TestStageGauge:

@@ -256,6 +256,103 @@ class TestMarginNearVertices:
             assert res.margin == pytest.approx(delta, abs=1e-9), f"seed {seed}"
 
 
+
+def _recover_recipe(seed):
+    """Six recover steps of an n = 3 system whose second input column is at
+    rounding level (1e-14), and the vertex a random direction exposes."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1, 1, (3, 3))
+    B = rng.uniform(-1, 1, (3, 2))
+    B[:, 1] *= 1e-14
+    rows = stage_generators(LdtSystem(name="t", A=A, B=B), 6, RegionKind.RECOVER)
+    return rows, np.sign(rows @ rng.standard_normal(3)) @ rows
+
+
+class TestRoundingLevelColumn:
+    # the slack-block form of this LP (n + 2m rows, 3m + 1 columns)
+    # cycles to the iteration limit of 50 000 pivots on these stages; the
+    # gauge LP ends in a few dozen
+    @pytest.mark.parametrize("seed", [56, 182, 492])
+    def test_vertex_answers(self, seed):
+        rows, x = _recover_recipe(seed)
+        res = lp_max_margin(_box(rows.T, x))
+        assert abs(res.margin) <= 1e-8
+        assert np.abs(rows.T @ res.witness - x).max() <= 1e-7
+        assert np.abs(res.witness).max() <= 1.0 + 1e-7
+
+    def test_replay_past_double_precision(self):
+        # entries of 1.2e10: the witness replays to 1.9e-6, above the
+        # absolute 1e-7 contract, so the answer is a typed refusal
+        rows, x = _recover_recipe(98)
+        with pytest.raises(InternalError, match="witness failed verification"):
+            lp_max_margin(_box(rows.T, x))
+
+
+class TestOneWidthBox:
+    # max_margin shrinks every side of the box by the same amount, so it
+    # takes boxes whose sides all have one width
+    def test_unequal_widths_rejected(self):
+        box = BoxLp(G=np.eye(2), x0=np.zeros(2), lower=-np.ones(2), upper=[1.0, 2.0])
+        with pytest.raises(ValueError, match="one positive width"):
+            lp_max_margin(box)
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError, match="one positive width"):
+            lp_max_margin(_box(np.eye(2), np.zeros(2), lo=0.0, hi=0.0))
+
+    @pytest.mark.parametrize(
+        "G, u, lo, want",
+        [
+            # the largest s with G u = x0, lower + s <= u <= upper - s and
+            # s <= min(1, h), as the slack-block LP answers it
+            ([[1.0, 1.0, 1.0, 1.0]], [1.5] * 4, -2.0, 0.5),
+            ([[1.0, 1.0, 1.0, 1.0]], [0.5] * 4, -2.0, 1.0),
+            ([[1.0, 1.0, 1.0, 1.0]], [1.25] * 4, 0.0, 0.75),
+            ([[1.0, 1.0, 1.0, 1.0]], [1.0] * 4, 0.0, 1.0),
+            ([[1.0, 0.5, -0.3], [0.2, -1.0, 0.7]], [1.5, -0.5, 1.0], -2.0,
+             0.5217391304347827),
+            ([[1.0, 0.5, -0.3], [0.2, -1.0, 0.7]], [1.5, 0.5, 1.8], 0.0,
+             0.3774193548387096),
+            ([[1.0, 0.5, -0.3], [0.2, -1.0, 0.7]], [2.0, -2.0, 2.0], -2.0, 0.0),
+        ],
+    )
+    def test_margins_of_wider_boxes(self, G, u, lo, want):
+        G = np.asarray(G)
+        res = lp_max_margin(_box(G, G @ np.asarray(u), lo=lo, hi=2.0))
+        assert res.margin == pytest.approx(want, abs=1e-12)
+        assert np.abs(G @ res.witness - G @ np.asarray(u)).max() <= 1e-12
+        assert lo + res.margin - 1e-12 <= res.witness.min()
+        assert res.witness.max() <= 2.0 - res.margin + 1e-12
+
+
+class TestFlatStage:
+    # n = 4 with an uncontrollable fourth coordinate, 3 inputs and 8 steps:
+    # 24 generators, past the facet-normal cap, spanning a hyperplane
+    def _stage(self):
+        rng = np.random.default_rng(7)
+        A = np.zeros((4, 4))
+        A[:3] = rng.uniform(-0.6, 0.6, (3, 4))
+        A[3, 3] = 0.5
+        B = np.zeros((4, 3))
+        B[:3] = rng.uniform(-1.0, 1.0, (3, 3))
+        rows = stage_generators(LdtSystem(name="flat", A=A, B=B), 8, RegionKind.REACH)
+        assert not rows[:, 3].any()
+        return rows, np.sign(rows @ rng.standard_normal(4)) @ rows
+
+    def test_vertex_on_the_span(self):
+        rows, v = self._stage()
+        assert abs(lp_max_margin(_box(rows.T, v)).margin) <= 1e-8
+
+    def test_off_the_span_has_a_complement_certificate(self):
+        rows, v = self._stage()
+        x = v + 1e-3 * np.eye(4)[3]
+        with pytest.raises(Infeasible) as info:
+            lp_max_margin(_box(rows.T, x))
+        d = info.value.certificate
+        assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(d - np.eye(4)[3]).max() <= 1e-9
+        assert d @ x - np.abs(rows @ d).sum() == pytest.approx(1e-3, rel=1e-6)
+
 class TestEnumerationOracleSelfCheck:
     def test_affine_dim_chain(self):
         G = np.ones((1, 4))
