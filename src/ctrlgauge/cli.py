@@ -6,6 +6,9 @@ digits) and writes its machine-readable report plus a manifest into
 --out-dir. File writes go through a temp file and os.replace, so readers
 never observe partial output.
 
+The argument parser is built once per process, on the first call, and
+reused: main may be called repeatedly, and its defaults are immutable.
+
 Exit codes: 0 success, 1 other library failure, 2 bad usage or model
 schema, 3 missing target bounds, 4 singular state matrix, 5 unstable
 generator growth, 6 state not reachable, 7 verification mismatch.
@@ -16,6 +19,7 @@ Set CTRLGAUGE_LOG=DEBUG (or another level name) to enable diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -141,7 +145,7 @@ def _parse_steps(text):
         raise argparse.ArgumentTypeError(f"bad step list {text!r}") from exc
     if not steps or steps[0] < 1:
         raise argparse.ArgumentTypeError("steps must be positive integers")
-    return steps
+    return tuple(steps)
 
 
 def _parse_axes(text):
@@ -328,6 +332,7 @@ def _cmd_verify(args):
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ctrlgauge",
@@ -363,7 +368,7 @@ def _build_parser():
     region.add_argument(
         "--steps",
         type=_parse_steps,
-        default=[5],
+        default=(5,),
         help="comma-separated stage counts, e.g. 5,10",
     )
     region.add_argument(
@@ -384,7 +389,7 @@ def _build_parser():
         "--kind", choices=("reach", "recover"), default="reach"
     )
     compare.add_argument(
-        "--steps", type=_parse_steps, default=[10], help="horizon (largest used)"
+        "--steps", type=_parse_steps, default=(10,), help="horizon (largest used)"
     )
     compare.set_defaults(func=_cmd_compare)
 

@@ -669,8 +669,11 @@ def _facet_normals(gens):
             f"{m} generators exceed the H-representation cap {MAX_GENERATORS}"
         )
     if n == 3:
-        i, j = np.triu_indices(m, 1)
-        d = np.cross(unit[i], unit[j])
+        # the pairs i < j, crossed in np.cross's operation order (the same
+        # bits) without its fixed cost on tiny arrays
+        i, j = np.nonzero(~np.tri(m, dtype=bool))
+        (a0, a1, a2), (b0, b1, b2) = unit[i].T, unit[j].T
+        d = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
         nd = np.linalg.norm(d, axis=1)
         normals = d[nd > TIE_TOL] / nd[nd > TIE_TOL, np.newaxis]
     else:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -320,3 +321,70 @@ class TestTopLevel:
     def test_unknown_command_is_argparse_error(self):
         with pytest.raises(SystemExit):
             run_cli(["frobnicate"])
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process and may be called again."""
+
+    def test_parser_is_built_once(self, tmp_path, plane_model, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for command in ("normalize", "region", "normalize"):
+            assert run_cli([command, "--model", plane_model, "--out-dir", tmp_path]) == 0
+        # subparsers are named "ctrlgauge <command>"; only the top level counts
+        assert built.count("ctrlgauge") <= 1
+
+    def test_steps_default_survives_an_explicit_list(self, tmp_path, plane_model):
+        argv = ["region", "--model", plane_model, "--out-dir", tmp_path]
+        assert run_cli(argv + ["--steps", "3,5"]) == 0
+        assert run_cli(argv) == 0
+        report = json.loads((tmp_path / "region_report.json").read_text())
+        assert report["requestedSteps"] == [5]
+        manifest = json.loads((tmp_path / "region_manifest.json").read_text())
+        assert manifest["arguments"]["steps"] == [5]
+
+    def test_usage_error_then_valid_call(self, tmp_path, plane_model, capsys):
+        argv = ["region", "--model", plane_model, "--out-dir", tmp_path]
+        with pytest.raises(SystemExit):
+            run_cli(argv + ["--steps", "0"])
+        assert run_cli(argv) == 0
+        assert "stage 5:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalize", "--model", DC_MODEL, "--mode", "target"],
+            ["region", "--model", AC_MODEL, "--steps", "2,4"],
+            ["region", "--model", DC_MODEL, "--steps", "3", "--format", "csv",
+             "--project", "1,3"],
+            ["region", "--model", DC_MODEL, "--kind", "recover", "--steps", "2,3",
+             "--format", "svg"],
+            ["compare", "--model", DC_MODEL, "--model-b", AC_MODEL, "--steps", "4"],
+            ["mintime", "--model", DC_MODEL, "--mode", "target", "--x0", "15,90,15"],
+            ["verify", "--seed", "2", "--samples", "2000"],
+        ],
+        ids=["normalize", "region-json", "region-csv", "region-svg", "compare",
+             "mintime", "verify"],
+    )
+    def test_reruns_match_a_fresh_process(self, tmp_path, argv):
+        # the same argv and --out-dir, so the manifests record the same arguments
+        argv = [str(a) for a in argv] + ["--out-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctrlgauge.cli", *argv],
+            capture_output=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        fresh = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(fresh) >= 2  # a report and its manifest
+        for _ in range(2):
+            for path in tmp_path.iterdir():
+                path.unlink()
+            assert run_cli(argv) == 0
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == fresh

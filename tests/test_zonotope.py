@@ -472,6 +472,24 @@ class TestHForm:
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
+    def test_n3_normals_are_np_cross_bit_for_bit(self):
+        # the pair products are written out in np.cross's operation order,
+        # so the normals keep its bits: rows scaled 1e-8 to 1e8, and every
+        # fifth draw with a parallel pair
+        rng = np.random.default_rng(2024)
+        for draw in range(300):
+            m = 3 + draw % 9
+            scale = 10.0 ** rng.uniform(-8, 8, size=(m, 1))
+            gens = rng.uniform(-1, 1, size=(m, 3)) * scale
+            if draw % 5 == 0:
+                gens[-1] = -3.0 * gens[0]
+            unit = gens / np.linalg.norm(gens, axis=1)[:, np.newaxis]
+            i, j = np.triu_indices(m, 1)
+            d = np.cross(unit[i], unit[j])
+            nd = np.linalg.norm(d, axis=1)
+            want = d[nd > 1e-12] / nd[nd > 1e-12, np.newaxis]
+            assert np.array_equal(_facet_normals(gens), want)
+
 
 class TestSpanRule:
     def test_generator_order_decides_a_thin_rank(self):
