@@ -265,7 +265,6 @@ def _cmd_compare(args):
     print(f"relation: {verdict.relation}")
     if verdict.stronger is not None:
         print(f"stronger: {verdict.stronger}")
-    print(f"exact: {verdict.exact}")
     report = verdict.to_dict()
     report["modelA"] = system_a.name
     report["modelB"] = system_b.name

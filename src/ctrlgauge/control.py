@@ -406,15 +406,14 @@ class AbilityVerdict:
 
     relation is Equal, StrictlyStronger, NotWeaker, or Incomparable;
     stronger names the dominating system for the one-sided relations.
-    Containment is decided exactly on facet normals at every horizon, so
-    exact is always True. The certificate lists, per failing stage, the
-    deciding direction, its support gap and the inner vertex it exposes.
+    Containment is decided exactly on facet normals at every horizon. The
+    certificate lists, per failing stage, the deciding direction, its
+    support gap and the inner vertex it exposes.
     """
 
     relation: str
     stronger: str | None
     at_horizon: int
-    exact: bool
     certificate: dict | None
     metrics: dict
 
@@ -423,7 +422,6 @@ class AbilityVerdict:
             "relation": self.relation,
             "stronger": self.stronger,
             "atHorizon": self.at_horizon,
-            "exact": self.exact,
             "certificate": self.certificate,
             "metrics": self.metrics,
         }
@@ -530,7 +528,6 @@ def compare_ability(sys_a, sys_b, horizon, kind=RegionKind.REACH, seed=0):
         relation=relation,
         stronger=stronger,
         at_horizon=horizon,
-        exact=True,
         certificate=certificate,
         metrics=metrics,
     )

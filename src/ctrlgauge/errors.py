@@ -46,11 +46,11 @@ class NotConvex(CtrlGaugeError):
 
 
 class TooManyGenerators(CtrlGaugeError):
-    """Generator count exceeds the enumeration cap."""
+    """The generators pass a size cap or an output budget."""
 
 
 class DegenerateZonotope(CtrlGaugeError):
-    """The zonotope is flat; the requested estimate is undefined."""
+    """The zonotope is flat or too near-degenerate for the requested answer."""
 
 
 class Infeasible(CtrlGaugeError):

@@ -5,20 +5,25 @@ stored as the rows of an (m, n) array. Controllability regions of
 discrete-time linear systems under unit input amplitude bounds are exactly
 such sets, so this module carries the geometric half of the analysis.
 
-Vertex enumeration never walks all 2^m sign patterns:
+Vertices are the regions of the arrangement of the hyperplanes g-perp of
+the generators (Zaslavsky, "Facing up to arrangements", Mem. AMS 1975;
+Ziegler, Lectures on Polytopes, ch. 7): the sign vector s of a region
+gives the vertex s @ G, the maximiser of every direction inside it.
+Enumeration never walks all 2^m sign patterns:
 
-* n = 1 and rank 1: the two extreme sums.
-* n = 2 (and rank-2 slices of higher dimensions): generators are flipped
-  into the upper half-plane and sorted by angle, parallel ones grouped;
-  one sign chain over the sorted groups yields the 2q polygon vertices
-  directly, counterclockwise. The same chain draws the outline of every
-  2-D coordinate projection (project_2d).
-* n >= 3: a facet walk. Every facet normal is orthogonal to n-1
-  generators (_facet_normals, shared with hform); a facet with exactly
-  n-1 tied generators is a parallelotope whose corners are read off one
-  sign table, and every other facet is enumerated in its own hyperplane
-  by the same routine. Lower-rank zonotopes are flattened onto their span
-  first; every vertex is a sum of the generators themselves.
+* rank 1: the two extreme sums.
+* rank 2: generators are flipped into the upper half-plane and sorted by
+  angle, parallel ones grouped; one sign chain over the sorted groups
+  yields the 2q polygon vertices directly, counterclockwise. The same
+  chain draws the outline of every 2-D coordinate projection (project_2d).
+* rank >= 3: deletion-restriction (_cells). Generators are added in order;
+  a generator parallel to no earlier one splits the regions its
+  hyperplane cuts, and those are the regions of the earlier generators
+  restricted to that hyperplane, one dimension down. Each region carries
+  one direction inside it, which certifies its signs.
+
+Lower-rank zonotopes are flattened onto their span first; every vertex is
+a sum of the generators themselves.
 
 One span rule (_spans) decides every span and rank, here and in region
 and control: a generator counts, and adds a direction, above TIE_TOL
@@ -28,16 +33,15 @@ and a set's rank can depend on its generators' order. Membership, gauges and
 containment all read one rank-aware H-form (hform): the complement of
 the generators' span, unit facet normals in it, and their supports.
 
-Vertex counts need no enumeration (_prefix_counts). The vertices of a
-zonotope match the regions of the arrangement of the hyperplanes g-perp
-of its generators (Zaslavsky, "Facing up to arrangements", Mem. AMS 1975;
-Ziegler, Lectures on Polytopes, ch. 7). By deletion-restriction a live
-generator parallel to no earlier one adds as many regions as the earlier
-generators, projected onto its hyperplane, cut there, one dimension down;
-in the plane the count is twice the angle classes of the vertex chain,
-on a line it is 2. Summed in generator order, the additions give the
-count of every leading block G[:p], so one pass over a region family's
-final stage counts every stage's vertices, past MAX_GENERATORS too.
+Vertex counts need no enumeration (_prefix_counts): by the same
+recursion a live generator parallel to no earlier one adds as many
+regions as the earlier generators, restricted to its hyperplane, cut
+there; in the plane the count is twice the angle classes of the vertex
+chain, on a line it is 2. Summed in generator order, the additions give
+the count of every leading block G[:p], so one pass over a region
+family's final stage counts every stage's vertices. Counts and vertices
+share the restriction and its tie decisions, so an enumeration yields
+exactly as many vertices as the count, or raises.
 
 Volumes are one determinant sum (_det_sums): 2^n times the sum of |det|
 over the generators' n-subsets. A subset lies in every leading block from
@@ -48,14 +52,16 @@ too: the area of a 2-D coordinate projection is the volume of the
 projected generators, so the planar factors share the determinant sum,
 its cap and its flat rule (rank below 2 gives 0).
 
-Near-ties below 1e-12 (relative) are treated as exact ties and expanded on
-both sides; inputs engineered with angle gaps between 1e-12 and 1e-9 are
-outside the supported precision envelope.
+Near-ties below TIE_TOL = 1e-12 (relative) are exact ties, above it
+distinct. Where the float restriction ties generators that the full
+arrangement keeps apart, or a region's direction fails its certificate
+(the region is thinner than rounding, or the direction lies in the sliver
+between two generators tied as parallel), vertices raise
+DegenerateZonotope rather than return vertices they cannot certify.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -79,8 +85,9 @@ EPS = float(np.finfo(float).eps)
 MAX_GENERATORS = 20
 # subsets Zonotope.volume sums at most; a 50-step stage in R^3 has 19 600
 MAX_VOLUME_SUBSETS = 2_000_000
-# corner sign patterns the facet walk builds at most, C(m, n-1) * 2^n; the
-# same budget as enumerating all 2^MAX_GENERATORS sign sums
+# planar rows a vertex count sorts at most (_count_size), and sign entries
+# a vertex enumeration returns at most, count * m; as many as the 2^20 sign
+# sums of MAX_GENERATORS generators
 MAX_PATTERN_ROWS = 1 << MAX_GENERATORS
 CHUNK_BYTES = 1 << 20
 
@@ -134,11 +141,14 @@ class Zonotope:
         return int(self._span_rule[2][-1])
 
     def vertices(self):
-        """All vertices as rows, deduplicated at 1e-9, lexicographically sorted.
+        """All vertices as rows, one per region of the generators'
+        hyperplane arrangement (_cells), lexicographically sorted.
 
-        Raises TooManyGenerators past MAX_GENERATORS generators, or past
-        MAX_PATTERN_ROWS facet corner patterns (n >= 7 with many
-        generators), checked before anything is built.
+        There are exactly as many as _prefix_counts counts. Raises
+        TooManyGenerators when they would pass the output budget, count * m
+        sign entries above MAX_PATTERN_ROWS, read from the count before
+        anything is built; raises DegenerateZonotope where near-ties or
+        thin regions leave a vertex uncertified (see the module notes).
         """
         return _vertices(self.generators, self._span_rule)
 
@@ -153,7 +163,7 @@ class Zonotope:
     def project_2d(self, axes):
         """Project onto two coordinate axes and build the polygon outline.
 
-        The outline is the planar vertex chain (_planar_vertex_signs), so
+        The outline is the planar vertex chain (_planar_cells), so
         its points run counterclockwise from the lowest vertex; projections
         whose generators are all parallel come back as a degenerate
         segment, and all-zero ones as the single origin point.
@@ -163,7 +173,7 @@ class Zonotope:
         pgens = pgens[_spans(pgens)[0]]
         if pgens.shape[0] == 0:
             return Polygon2D(points=np.zeros((1, 2)), degenerate=True, axes=axes)
-        pts = _planar_vertex_signs(pgens) @ pgens
+        pts = _planar_cells(pgens)[0] @ pgens
         return Polygon2D(points=pts, degenerate=pts.shape[0] == 2, axes=axes)
 
     def shape_report(self):
@@ -312,37 +322,6 @@ def _check_axes(axes, n):
     return (i, j)
 
 
-def _dedup_rows(pts, tol=DEDUP_TOL):
-    """Merge rows closer than tol (max-norm); output stays lexsorted."""
-    pts = np.asarray(pts, dtype=float)
-    k = pts.shape[0]
-    if k == 0:
-        return pts
-    pts = pts[np.lexsort(pts.T[::-1])]
-    # rows stay lexsorted, so only rows whose first coordinate lies within
-    # tol of p can match it; the 2 tol window absorbs rounding. When no
-    # pair inside any window matches, the greedy merge keeps every row.
-    lo = np.searchsorted(pts[:, 0], pts[:, 0] - 2.0 * tol)
-    width = np.arange(k) - lo
-    total = int(width.sum())
-    if total == 0:
-        return pts
-    if total * pts.shape[1] <= CHUNK_BYTES // 8:
-        i = np.repeat(np.arange(k), width)
-        j = i - 1 - (np.arange(total) - np.repeat(np.cumsum(width) - width, width))
-        if not (np.abs(pts[i] - pts[j]).max(axis=1) <= tol).any():
-            return pts
-    kept = [0]
-    firsts = [pts[0, 0]]
-    for i in range(1, k):
-        p = pts[i]
-        near = pts[kept[bisect.bisect_left(firsts, p[0] - 2.0 * tol) :]]
-        if near.shape[0] == 0 or np.min(np.max(np.abs(near - p), axis=1)) > tol:
-            kept.append(i)
-            firsts.append(p[0])
-    return pts[kept]
-
-
 def _canonical_flip(pgens):
     """Flip 2-D rows into the upper half-plane; returns (flipped, signs).
 
@@ -360,8 +339,9 @@ def _angles(pgens):
     return np.arctan2(canon[..., 1], canon[..., 0]), flip
 
 
-def _planar_vertex_signs(pgens):
-    """Sign patterns whose sums are the vertices of a planar zonotope.
+def _planar_cells(pgens):
+    """Sign patterns whose sums are the vertices of a planar zonotope, and
+    one direction inside each pattern's region of the line arrangement.
 
     pgens rows must be nonzero. Rows are flipped into the upper half-plane
     and sorted by angle; rows less than TIE_TOL apart form one group and
@@ -371,104 +351,102 @@ def _planar_vertex_signs(pgens):
     Their sums therefore run counterclockwise around the polygon from
     minus the sum of the flipped rows, each step adding twice the next
     group's flipped sum (project_2d draws its outline in this order); a
-    single group gives the two ends of a segment.
+    single group gives the two ends of a segment. Row k's unit direction
+    is a right angle clockwise of the middle of the angle gap before group
+    k (for k = 0 the gap that wraps past pi), so it meets every row of the
+    groups before k at an acute angle and every later row at an obtuse one.
     """
     m = pgens.shape[0]
     ang, flip = _angles(pgens)
     order = np.argsort(ang, kind="stable")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ang[order]) > TIE_TOL) + 1))
+    ang = ang[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ang) > TIE_TOL) + 1))
     chain = np.empty((starts.size, m))
     chain[:, order] = np.where(np.arange(m) < starts[:, np.newaxis], 1.0, -1.0)
-    return np.concatenate([chain, -chain]) * flip
-
-
-def _facet_walk_signs(gens):
-    """Vertex sign rows of a full-rank zonotope in R^n, n >= 3.
-
-    Every vertex lies on a facet, and every facet normal is among the
-    (n-1)-subset normals of _facet_normals. Along a unit normal d a facet
-    is the sum of the decided generators, sign(d . g) g, plus the zonotope
-    of the tied ones, |d . g| <= TIE_TOL |g|. A simple facet has n-1 tied
-    generators and is a parallelotope, so its corners are sign patterns;
-    they are kept as bit codes (bit j set for +g_j), which merge repeated
-    corners exactly. Every other facet is enumerated by _vertex_signs, once
-    per tied set, with the tied generators projected into its hyperplane;
-    so is the lower-dimensional face of a normal too inexact to tie its own
-    generators (a nearly parallel pair's), down to a single vertex when
-    nothing is tied.
-
-    Raises TooManyGenerators past MAX_PATTERN_ROWS corner patterns,
-    counted before anything is built; the codes are built in chunks of
-    about CHUNK_BYTES. The int64 codes hold the MAX_GENERATORS generators
-    Zonotope.vertices allows.
-    """
-    m, n = gens.shape
-    rows = math.comb(m, n - 1) << n
-    if rows > MAX_PATTERN_ROWS:
-        raise TooManyGenerators(
-            f"{rows} facet corner patterns of {m} generators exceed the "
-            f"vertex cap {MAX_PATTERN_ROWS}"
-        )
-    unit = gens / np.linalg.norm(gens, axis=1)[:, np.newaxis]
-    normals = _facet_normals(gens)
-    bits = np.left_shift(1, np.arange(m, dtype=np.int64))
-    corners = (np.arange(1 << (n - 1))[:, np.newaxis] >> np.arange(n - 1)) & 1
-    chunk = max(1, CHUNK_BYTES // (8 * (m + corners.shape[0])))
-    codes, facet_sets, facet_normals = [], [], []
-    for start in range(0, normals.shape[0], chunk):
-        block = normals[start : start + chunk]
-        dots = block @ unit.T
-        tied = np.abs(dots) <= TIE_TOL
-        up = ((dots > 0.0) & ~tied) @ bits
-        simple = tied.sum(axis=1) == n - 1
-        cols = np.nonzero(tied[simple])[1].reshape(-1, n - 1)
-        codes.append(np.unique(up[simple, np.newaxis] + bits[cols] @ corners.T))
-        other = ~simple
-        facet_sets.append(tied[other] @ bits)
-        facet_normals.append(block[other])
-    codes = np.concatenate(codes)
-    codes = np.unique(np.concatenate([codes, codes ^ ((1 << m) - 1)]))
-    signs = [((codes[:, np.newaxis] >> np.arange(m)) & 1) * 2.0 - 1.0]
-    facet_sets, first = np.unique(np.concatenate(facet_sets), return_index=True)
-    for code, d in zip(facet_sets, np.concatenate(facet_normals)[first]):
-        tied = (code >> np.arange(m)) & 1 == 1
-        base = np.where(tied, 0.0, np.sign(unit @ d))
-        # tied generators only, put into the facet's plane they may leave
-        flat = np.where(tied[:, np.newaxis], gens - np.outer(gens @ d, d), 0.0)
-        face = _vertex_signs(flat, _spans(flat))
-        signs += [base + face, face - base]
-    return np.vstack(signs)
+    mid = 0.5 * (ang[starts - 1] + ang[starts])
+    mid[0] -= 0.5 * np.pi
+    dirs = np.stack([np.sin(mid), -np.cos(mid)], axis=1)
+    return np.concatenate([chain, -chain]) * flip, np.concatenate([dirs, -dirs])
 
 
 def _vertices(G, spans):
-    """Zonotope(G).vertices() given _spans(G), cap check included."""
-    if len(G) > MAX_GENERATORS:
-        raise TooManyGenerators(
-            f"{len(G)} generators exceed the enumeration cap {MAX_GENERATORS}"
-        )
-    return _dedup_rows(_vertex_signs(G, spans) @ G)
-
-
-def _vertex_signs(G, spans):
-    """Sign rows s, 0 where a row is not live, with the vertex candidates
-    of G's zonotope at s @ G (sums of the generators), given _spans(G)."""
+    """Zonotope(G).vertices() given _spans(G)."""
     live, basis, dims = spans
-    gens, rank, n = G[live], dims[-1], G.shape[1]
-    if rank == 0:
-        return np.zeros((1, len(G)))
-    if rank < n:
-        # flatten onto the span and enumerate there
-        flat = gens @ basis[:rank].T
-        signs = _vertex_signs(flat, _spans(flat))
-    elif n == 1:
-        signs = np.sign(gens.T) * np.array([[-1.0], [1.0]])
-    elif n == 2:
-        signs = _planar_vertex_signs(gens)
-    else:
-        signs = _facet_walk_signs(gens)
-    out = np.zeros((len(signs), len(G)))
-    out[:, live] = signs
-    return out
+    m, n = G.shape
+    count = _prefix_counts(G, spans)[-1]
+    if count is None or count * m > MAX_PATTERN_ROWS:
+        raise TooManyGenerators(f"the vertices of {m} generators pass the output budget")
+    rank = int(dims[-1])
+    flat = G if rank == n else G @ basis[:rank].T
+    signs, dirs = _cells(flat, live)
+    if len(signs) != count or not (signs[:, live] * (dirs @ flat[live].T) > 0.0).all():
+        raise DegenerateZonotope("a region off the count, or its direction off its certificate")
+    verts = signs @ G
+    return verts[np.lexsort(verts.T[::-1])]
+
+
+def _cells(P, mask):
+    """Regions of the arrangement of the hyperplanes g-perp of the masked
+    rows g of P (k, d), as _prefix_counts counts them: sign rows (r, k), 0
+    off the mask, and one direction c inside each, s_i (c . g_i) > 0 up to
+    rounding (_vertices checks it).
+
+    Rows are added in order. A row parallel to an earlier one copies its
+    signs, times the sign of their dot product. Any other row g splits the
+    regions its hyperplane cuts, the regions of the earlier rows restricted
+    to g-perp (_restrict, in _prefix_counts' chunks), found by their signs;
+    a restricted region missing there means the restriction's float ties
+    disagree with the full arrangement's: DegenerateZonotope. The halves
+    take the restricted direction, lifted out of the reflector's basis,
+    plus and minus eps g / |g|, eps half its sine distance to the nearest
+    earlier hyperplane (at most 1/2), and the cut region's old direction on
+    its side; every other region keeps its direction and takes sign(c . g).
+    """
+    k, d = P.shape
+    if not mask.any():
+        return np.zeros((1, k)), np.zeros((1, d))
+    if d == 1:
+        s = np.where(mask, np.sign(P[:, 0]), 0.0)
+        return np.stack([-s, s]), np.array([[-1.0], [1.0]])
+    if d == 2:
+        signs, dirs = _planar_cells(P[mask])
+        out = np.zeros((len(signs), k))
+        out[:, mask] = signs
+        return out, dirs
+    signs, dirs = np.zeros((1, k)), np.zeros((1, d))
+    unit = P / np.where(mask, np.sqrt((P * P).sum(axis=1)), 1.0)[:, np.newaxis]
+    step = _count_step(k, d)
+    for start in range(0, k, step):
+        v, proj, kept, new = _restrict(P, mask, slice(start, start + step))
+        for i, j in enumerate(range(start, min(start + step, k))):
+            if not new[i]:
+                if mask[j]:
+                    a = np.flatnonzero(mask & ~kept[i])[0]
+                    signs[:, j] = signs[:, a] * np.sign(P[j] @ P[a])
+                continue
+            sub, sub_dirs = _cells(proj[i], kept[i])
+            lifted = sub_dirs @ (np.eye(d)[1:] - np.outer(v[i, 1:], 2.0 * v[i] / (v[i] @ v[i])))
+            eps = 0.5 * np.min(np.abs(lifted @ unit[kept[i]].T), axis=1, initial=1.0)
+            # sign rows as byte strings; column j is still 0 in both
+            keys = np.packbits(np.concatenate([signs, sub])[:, : j + 1] > 0.0, axis=1)
+            keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+            have, want = keys[: len(signs)], keys[len(signs) :]
+            order = np.argsort(have)
+            cut = order[np.minimum(np.searchsorted(have, want, sorter=order), len(have) - 1)]
+            if not (have[cut] == want).all():
+                raise DegenerateZonotope("restricted ties disagree with the full arrangement's")
+            side = dirs @ P[j]
+            signs[:, j] = np.sign(side)
+            signs = np.concatenate([signs, signs[cut]])
+            signs[cut, j], signs[len(side) :, j] = 1.0, -1.0
+            # the old direction adds its margins to the half it lies in
+            up, down = side[cut, np.newaxis] > 0.0, side[cut, np.newaxis] < 0.0
+            halves = np.concatenate([lifted + up * dirs[cut], lifted + down * dirs[cut]])
+            halves += np.concatenate([eps, -eps])[:, np.newaxis] * unit[j]
+            halves /= np.sqrt((halves * halves).sum(axis=1, keepdims=True))
+            dirs[cut] = halves[: len(cut)]
+            dirs = np.concatenate([dirs, halves[len(cut) :]])
+    return signs, dirs
 
 
 # --- vertex counts and volumes of leading blocks -----------------------------
@@ -524,13 +502,18 @@ def _count_size(m, rank):
     return m ** max(2, rank - 1) if rank >= 2 else 0
 
 
+def _count_step(p, rank):
+    """Rows _prefix_counts and _cells restrict at once, p rows of rank >= 2."""
+    return max(1, CHUNK_BYTES * p // (8 * rank * _count_size(p, rank)))
+
+
 def _prefix_counts(G, spans):
     """Vertex counts of the zonotopes of G[:p] for p = 0..m, given _spans(G).
 
     The rows are flattened onto their span, and each count is that of the
     regions of the arrangement of the hyperplanes g-perp of the live rows
     (_additions). Rank 0 gives 1, rank 1 gives 2, and rank 2 twice the
-    angle classes of _planar_vertex_signs, prefix by prefix. A count is None past the
+    angle classes of _planar_cells, prefix by prefix. A count is None past the
     count budget: _count_size(p, dims[p]) above MAX_PATTERN_ROWS, checked
     before any array is built; arrays are built in chunks of about
     CHUNK_BYTES.
@@ -546,7 +529,7 @@ def _prefix_counts(G, spans):
     if rank < 2:
         counts = np.where(np.cumsum(live) > 0, 2, 1)
     else:
-        step = max(1, CHUNK_BYTES * p // (8 * rank * _count_size(p, rank)))
+        step = _count_step(p, rank)
         starts = range(0, p, step)
         if rank == 2:
             # prefix by prefix: a row can join two angle classes into one
@@ -571,7 +554,7 @@ def _region_counts(P, mask):
 
 
 def _class_counts(ang, mask):
-    """Twice the angle classes of the masked rows, as _planar_vertex_signs
+    """Twice the angle classes of the masked rows, as _planar_cells
     groups them (sorted angles more than TIE_TOL apart), or 1 for none."""
     ang = np.where(mask, ang, 4.0)  # past pi: masked rows sort last
     ang.sort(axis=-1)
@@ -582,20 +565,27 @@ def _class_counts(ang, mask):
 
 
 def _additions(P, mask, rows=slice(None)):
-    """Regions each row g of P[..., rows, :] adds to the arrangement of the
-    masked rows before it, for P (..., k, d), d >= 3.
+    """Regions each row of P[..., rows, :] adds to the arrangement of the
+    masked rows before it, for P (..., k, d), d >= 3 (_restrict)."""
+    _, proj, kept, new = _restrict(P, mask, rows)
+    return np.where(new, _region_counts(proj, kept), 0)
 
-    Deletion-restriction (Zaslavsky): a masked row parallel to no earlier
-    one (sines above TIE_TOL) adds the regions of the earlier rows
-    restricted to g-perp, one dimension down: their coordinates in a
-    Householder basis of g-perp, less the rows parallel to g. A row
-    parallel to an earlier one adds none.
+
+def _restrict(P, mask, rows=slice(None)):
+    """Deletion-restriction (Zaslavsky) for each row g of P[..., rows, :]
+    against the masked rows of P (..., k, d) before it: (v, proj, kept, new).
+
+    proj holds every row in a Householder basis of g-perp, the reflector
+    I - 2 v v^T / v.v less its first row. kept marks the masked rows before
+    g not parallel to it (sines above TIE_TOL): restricted to g-perp, their
+    regions are the ones g adds, one dimension down. new marks the masked
+    rows parallel to no masked row before them; the others add none.
     """
     k = P.shape[-2]
     norm = np.sqrt((P * P).sum(axis=-1))
     unit = P[..., rows, :] / np.where(mask, norm, 1.0)[..., rows, np.newaxis]
-    # the reflector I - 2 v v^T / v.v maps g onto the first axis, so its
-    # other rows span g-perp; |v[0]| >= 1 keeps v.v away from 0
+    # the reflector maps g onto the first axis, so its other rows span
+    # g-perp; |v[0]| >= 1 keeps v.v away from 0
     v = unit.copy()
     v[..., 0] += np.where(unit[..., 0] < 0.0, -1.0, 1.0)
     scale = 2.0 * (v @ np.swapaxes(P, -1, -2)) / (v * v).sum(axis=-1)[..., np.newaxis]
@@ -603,7 +593,7 @@ def _additions(P, mask, rows=slice(None)):
     before = mask[..., np.newaxis, :] & (np.arange(k) < np.arange(k)[rows, np.newaxis])
     kept = before & (np.sqrt((proj * proj).sum(axis=-1)) > TIE_TOL * norm[..., np.newaxis, :])
     new = mask[..., rows] & ~(before & ~kept).any(axis=-1)
-    return np.where(new, _region_counts(proj, kept), 0)
+    return v, proj, kept, new
 
 
 # --- H-representation and membership -----------------------------------------

@@ -27,7 +27,7 @@ from ctrlgauge import (
 )
 from ctrlgauge.model import SINGULARITY_TOL
 from ctrlgauge.oracle import SplitMix64
-from ctrlgauge.zonotope import _planar_vertex_signs, _spans
+from ctrlgauge.zonotope import MAX_PATTERN_ROWS, _planar_cells, _spans
 
 
 def _chain(n):
@@ -268,16 +268,16 @@ class TestRegionSummary:
         assert "planar" in info["shapeFactors"]
 
     def test_vertex_counts_past_cap(self, rng):
-        # stages 21 and 22 pass MAX_GENERATORS: counted, not enumerated,
-        # twice the angle classes of the planar vertex chain
+        # stages 21 and 22 pass MAX_GENERATORS: counted and enumerated
+        # alike, twice the angle classes of the planar vertex chain
         sys_ = make_system(rng, 2, scale=0.4)
         fam = reach_region(sys_, 22)
         counts = region_summary(fam)["vertexCountByStage"]
-        assert counts[19] == len(fam.stage(20).vertices())
-        for k in (21, 22):
+        for k in (20, 21, 22):
             gens = fam.stage(k).generators
-            assert counts[k - 1] == len(_planar_vertex_signs(gens[_spans(gens)[0]]))
-            assert counts[k - 1] > counts[19]
+            assert counts[k - 1] == len(fam.stage(k).vertices())
+            assert counts[k - 1] == len(_planar_cells(gens[_spans(gens)[0]])[0])
+        assert counts[20] > counts[19]
 
     def test_flat_family_past_the_volume_cap(self):
         # B in an invariant plane: every stage is flat and reads volume 0,
@@ -298,11 +298,19 @@ class TestRegionSummary:
             info = region_summary(recover_region(make_system(rng, n, r=2), 3))
             assert len(info["vertexCountByStage"]) == 3
 
-    def test_vertices_raise_past_cap(self, rng):
-        sys_ = make_system(rng, 2, scale=0.4)
-        fam = reach_region(sys_, 22)
+    def test_vertices_raise_past_cap(self):
+        # generators on a circular cone, no three coplanar: stage k has
+        # k^2 - k + 2 vertices, counted at every stage, while from stage
+        # 102 on their k signs each pass the output budget
+        th = 0.5
+        A = np.array([[np.cos(th), -np.sin(th), 0.0], [np.sin(th), np.cos(th), 0.0],
+                      [0.0, 0.0, 1.0]])
+        fam = reach_region(LdtSystem(name="cone", A=A, B=np.array([[1.0], [0.0], [0.6]])), 102)
+        counts = region_summary(fam)["vertexCountByStage"]
+        assert counts[-2:] == [10102, 10304]
+        assert counts[-1] * 102 > MAX_PATTERN_ROWS >= counts[-2] * 101
         with pytest.raises(TooManyGenerators):
-            fam.stage(21).vertices()
+            fam.stage(102).vertices()
 
 
 def _stable_system(rng, n, r, variant):
@@ -312,10 +320,7 @@ def _stable_system(rng, n, r, variant):
     inside the first block (an uncontrollable system, flat stages).
 
     The bounded spectrum keeps stage generators between about 1e-3 and
-    1e3 and apart at sines far above TIE_TOL, inside the envelope where
-    Zonotope.vertices is exact: it merges vertices closer than DEDUP_TOL
-    and its facet walk ties generators that turn parallel at sines near
-    1e-9, which the counts do not (TestVertexCounts).
+    1e3 and apart at sines far above TIE_TOL.
     """
     while True:
         P = rng.uniform(-1, 1, (n, n))
@@ -347,23 +352,41 @@ def _stable_system(rng, n, r, variant):
     return LdtSystem(name=variant, A=P @ J @ np.linalg.inv(P), B=B)
 
 
+def _summary_cases(variant):
+    """(system, horizon) pairs: twelve _stable_system draws of a variant,
+    or for "scan" the n = 3 draws A, B ~ uniform(-1, 1) of default_rng(s),
+    s = 0-39, at 11 steps, so their stages 6 and 11 too."""
+    if variant == "scan":
+        for s in range(40):
+            rng = np.random.default_rng(s)
+            A = rng.uniform(-1, 1, (3, 3))
+            yield LdtSystem(name="scan", A=A, B=rng.uniform(-1, 1, (3, 1))), 11
+        return
+    rng = np.random.default_rng(["random", "parallel", "zero", "block"].index(variant))
+    for _ in range(12):
+        n = int(rng.integers(3 if variant == "block" else 2, 5))
+        r = int(rng.integers(1, 4))
+        yield _stable_system(rng, n, r, variant), max(1, {2: 18, 3: 9, 4: 8}[n] // r)
+
+
 class TestOnePassSummary:
-    @pytest.mark.parametrize("variant", ["random", "parallel", "zero", "block"])
+    @pytest.mark.parametrize("variant", ["random", "parallel", "zero", "block", "scan"])
     def test_every_stage_matches_its_zonotope(self, variant):
-        rng = np.random.default_rng(["random", "parallel", "zero", "block"].index(variant))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for _ in range(12):
-                n = int(rng.integers(3 if variant == "block" else 2, 5))
-                r = int(rng.integers(1, 4))
-                sys_ = _stable_system(rng, n, r, variant)
-                horizon = max(1, {2: 18, 3: 9, 4: 8}[n] // r)
+            for sys_, horizon in _summary_cases(variant):
+                n = sys_.n
                 for builder in (reach_region, recover_region):
-                    fam = builder(sys_, horizon)
+                    try:
+                        fam = builder(sys_, horizon)
+                    except UnstableGrowth:
+                        # recover stages of two scan draws (s = 14, 36)
+                        assert variant == "scan"
+                        continue
                     info = region_summary(fam)
                     for k in range(1, horizon + 1):
                         z = fam.stage(k)
-                        tag = (variant, n, r, builder.__name__, k)
+                        tag = (variant, n, sys_.r, builder.__name__, k)
                         assert info["vertexCountByStage"][k - 1] == len(z.vertices()), tag
                         vol, want = info["volumeByStage"][k - 1], z.volume()
                         if z.rank() < n:

@@ -12,9 +12,7 @@ import pytest
 
 from conftest import (
     assert_vertex_sets_match,
-    near_duplicate_cloud,
     near_parallel_rows,
-    quadratic_dedup,
     subprocess_env,
 )
 from ctrlgauge import (
@@ -41,10 +39,9 @@ from ctrlgauge.oracle import brute_vertices
 from ctrlgauge.zonotope import (
     MAX_PATTERN_ROWS,
     MAX_VOLUME_SUBSETS,
+    _cells,
     _count_size,
-    _dedup_rows,
     _facet_normals,
-    _facet_walk_signs,
     _prefix_counts,
     _spans,
     hform,
@@ -126,9 +123,17 @@ class TestVertices:
         normal = np.array([1.0, 1.0, -1.0])
         assert np.max(np.abs(verts @ normal)) < 1e-9
 
-    def test_generator_cap(self):
+    def test_generator_cap(self, rng):
+        # the cap is on the output, count * m sign entries, read from the
+        # count: 21 parallel rows are a segment, 101 Gaussian rows in R^3
+        # have 10102 vertices within it, and 102 rows pass it
+        assert len(Zonotope(np.ones((21, 2))).vertices()) == 2
+        gens = rng.standard_normal((102, 3))
+        counts = _prefix_counts(gens, _spans(gens))
+        assert counts[101] * 101 <= MAX_PATTERN_ROWS < counts[102] * 102
+        assert len(Zonotope(gens[:101]).vertices()) == counts[101] == 10102
         with pytest.raises(TooManyGenerators):
-            Zonotope(np.ones((21, 2))).vertices()
+            Zonotope(gens).vertices()
 
     def test_four_dim_box(self):
         verts = Zonotope(np.eye(4)).vertices()
@@ -189,8 +194,10 @@ class TestFacetWalk:
             assert_vertex_sets_match(z.vertices(), brute_vertices(z))
 
     def test_pattern_cap_raises_before_allocating(self, rng):
-        gens = rng.uniform(-1, 1, size=(20, 8))  # C(20, 7) * 2^8 = 1.98e7 rows
-        assert math.comb(20, 7) << 8 > MAX_PATTERN_ROWS
+        # 14282 vertices of 120 generators: 1.7e6 sign entries, past the
+        # output budget, which the count gives before any sign is built
+        gens = rng.uniform(-1, 1, size=(120, 3))
+        assert _prefix_counts(gens, _spans(gens))[-1] * 120 > MAX_PATTERN_ROWS
         tracemalloc.start()
         try:
             with pytest.raises(TooManyGenerators):
@@ -199,6 +206,9 @@ class TestFacetWalk:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        # 20 generators in R^8: past the count's own budget, so uncounted
+        with pytest.raises(TooManyGenerators):
+            Zonotope(rng.uniform(-1, 1, size=(20, 8))).vertices()
 
     def test_no_hull_library_on_the_main_path(self):
         code = (
@@ -544,6 +554,17 @@ def _exact_count3(rows):
     return count
 
 
+def _certified_cells(rows):
+    """Regions of the arrangement of the live rows' hyperplanes, after
+    checking every region's certificate: s_i (c . g_i) > 0 on the live
+    rows, for its signs s and direction c."""
+    live, basis, dims = _spans(rows)
+    flat = rows if dims[-1] == rows.shape[1] else rows @ basis[: dims[-1]].T
+    signs, dirs = _cells(flat, live)
+    assert (signs[:, live] * (dirs @ flat[live].T) > 0.0).all()
+    return len(signs)
+
+
 class TestVertexCounts:
     @pytest.mark.parametrize(
         "n,m,last", [(2, 40, 80), (3, 30, 872), (4, 50, 39300), (5, 24, 21806)]
@@ -559,8 +580,8 @@ class TestVertexCounts:
 
     def test_exact_where_the_facet_walk_misses(self):
         # a recover stage whose generators grow from 1e2 to 1.4e10 and turn
-        # nearly parallel: the exact count on the float rows is 32, the
-        # facet walk finds 30 vertices
+        # nearly parallel: the exact count on the float rows is 32, and so
+        # is the vertex count (a facet walk found 30)
         rng = np.random.default_rng(93)
         A = rng.uniform(-1, 1, (3, 3))
         B = rng.uniform(-1, 1, (3, 1))
@@ -568,7 +589,48 @@ class TestVertexCounts:
         counts = _prefix_counts(rows, _spans(rows))
         assert counts[1:] == [_exact_count3(rows[:p]) for p in range(1, 7)]
         assert counts[-1] == 32
-        assert len(Zonotope(rows).vertices()) == 30
+        assert len(Zonotope(rows).vertices()) == 32
+
+    @pytest.mark.parametrize(
+        "seed,n,kind,steps,stage,want",
+        [
+            (72, 3, "recover", 11, 11, 112),
+            (142, 3, "recover", 11, 11, 112),
+            (69, 3, "reach", 11, 11, 112),
+            (93, 3, "recover", 6, 6, 32),
+            (162, 3, "recover", 6, 6, 32),
+            (24, 2, "reach", 20, 15, 30),
+        ],
+    )
+    def test_vertices_are_the_counted_cells(self, seed, n, kind, steps, stage, want):
+        # stages where a facet walk missed vertices at sines of 7e-13 to
+        # 6e-9 (n = 3), or a 1e-9 merge joined vertices of generators near
+        # 3e-10 (n = 2): one vertex per counted region, each certified,
+        # and the rows come back lexsorted
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1, 1, (n, n))
+        B = rng.uniform(-1, 1, (n, 1))
+        sys_ = LdtSystem(name="s", A=A, B=B)
+        rows = stage_generators(sys_, steps, RegionKind(kind))[:stage]
+        verts = Zonotope(rows).vertices()
+        assert len(verts) == _prefix_counts(rows, _spans(rows))[-1] == want
+        assert _certified_cells(rows) == want
+        assert np.array_equal(verts, verts[np.lexsort(verts.T[::-1])])
+
+    @pytest.mark.parametrize("seed,why", [(14, "restricted ties"), (69, "certificate")])
+    def test_untieable_stages_raise(self, seed, why):
+        # 16-step reach stages whose generators turn parallel step after
+        # step: seed 14's restricted ties disagree with the full
+        # arrangement's, and seed 69 has regions too thin (margins near
+        # 1e-17) for their directions to pass the certificate in doubles;
+        # the counts still read a number
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1, 1, (3, 3))
+        B = rng.uniform(-1, 1, (3, 1))
+        rows = stage_generators(LdtSystem(name="s", A=A, B=B), 16, RegionKind.REACH)
+        assert _prefix_counts(rows, _spans(rows))[-1] > 0
+        with pytest.raises(DegenerateZonotope, match=why):
+            Zonotope(rows).vertices()
 
     def test_budget_returns_none_before_allocating(self, rng):
         # eight Gaussian rows in R^8: the first 7 are counted in their
@@ -586,34 +648,6 @@ class TestVertexCounts:
         assert counts[:8] == [1, 2, 4, 8, 16, 32, 64, 128]
         assert counts[8:] == [None] * 993
         assert peak < 4 << 20
-
-
-class TestDedup:
-    @pytest.mark.parametrize("m,n", [(8, 2), (9, 3), (10, 2)])
-    def test_identical_to_quadratic_merge(self, rng, m, n):
-        cloud = near_duplicate_cloud(rng, m, n)
-        got = _dedup_rows(cloud)
-        want = quadratic_dedup(cloud)
-        assert got.shape[0] < cloud.shape[0]
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("m,n", [(8, 2), (10, 3)])
-    def test_distinct_rows_come_back_sorted(self, rng, m, n):
-        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=m)))
-        gens = rng.uniform(-1, 1, size=(m, n))
-        gens[:, 0] = np.round(gens[:, 0], 1)  # many rows share a first coordinate
-        cloud = signs @ gens
-        got = _dedup_rows(cloud)
-        assert got.shape == cloud.shape
-        assert got.tobytes() == quadratic_dedup(cloud).tobytes()
-
-    def test_facet_walk_vertices_unchanged(self, rng):
-        gens = rng.uniform(-1, 1, size=(8, 3))
-        gens[2] = gens[0] + 0.5 * gens[1]  # non-simple facets repeat corners
-        raw = _facet_walk_signs(gens) @ gens
-        assert _dedup_rows(raw).shape[0] < raw.shape[0]
-        assert _dedup_rows(raw).tobytes() == quadratic_dedup(raw).tobytes()
 
 
 class TestContainsPoint:
