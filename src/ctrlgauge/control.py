@@ -8,12 +8,13 @@ containment of their regions stage by stage.
 
 Stage k is the Minkowski sum of the first k generator blocks, so its
 support along any direction is a prefix sum of |d . g|. Every geometric
-fact comes from one _Family per (system, kind, horizon): one
+fact comes from one zonotope._Family per (system, kind, horizon): one
 zonotope._spans call (each stage keeps the span it decides alone),
 facet normals built once per run of stages of one span dimension, and
-the cumulative supports of every stage along them. The gauge max|D x|/C,
-read in growing chunks of stages, decides membership and gives the
-margin 1 - gauge and a separating row; containment compares cumulative
+the cumulative supports of every stage along them. The gauge max|D x|/C
+(zonotope._gauges, the rule contains_point answers by too), read in
+growing chunks of stages, decides membership and gives the margin
+1 - gauge and a separating row; containment compares cumulative
 supports on the outer family's rows. compare_ability's metrics and
 verify_theorem1's vertex states read the family's spans too, so each
 system's stage rows pass the span rule once.
@@ -37,7 +38,6 @@ the state, and the descent walks on from there.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .lp import GAUGE_TOL
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -54,12 +53,12 @@ from .errors import (
     NotMember,
     NotReachable,
     PreconditionNotMet,
-    TooManyGenerators,
 )
 from .region import RegionKind, stage_generators
-from .zonotope import EPS, MAX_GENERATORS, TIE_TOL, hform
-from .zonotope import _facet_normals, _normals_capped, _shape_report, _spans
-from .zonotope import _vertices, _volume
+from .zonotope import EPS, TIE_TOL
+from .zonotope import _cumulative_supports, _family, _gauges, _shape_report, _spans
+from .zonotope import _uncapped, _vertices, _volume
+from .zonotope import GAUGE_TOL, _Family  # noqa: F401  (importable from here too)
 # not called here; bench/tests looks it up as control.contains_point
 from .zonotope import contains_point  # noqa: F401
 
@@ -84,98 +83,6 @@ def _check_state(sys, x0):
     if not np.isfinite(x).all():
         raise DimensionMismatch("state contains non-finite entries")
     return x
-
-
-@dataclass(frozen=True)
-class _Family:
-    """Stage-major generator rows (stage k is rows[:k*r]) with their facets.
-
-    live and dims come from one zonotope._spans call. dirs stacks its
-    basis, whose rows from dims[k*r] on are stage k's complement, and the
-    unit facet normals of the last stage of each run of stages of one span
-    dimension (they include every earlier stage's subset normals).
-    supports[i, k-1] is stage k's cumulative support sum_{j < k r}
-    |dirs[i] . g_j| along a normal of its run, 0 along its own complement
-    rows and infinite where row i bounds nothing. capped is the first
-    stage past the normal cap (span dimension 4 or more and more than
-    MAX_GENERATORS live generators), or None; earlier stages have columns.
-    It is the one source of what compare_ability and verify_theorem1
-    report: the metrics take the rank dims[-1], and the vertex states
-    take live, dirs[:n] (the span basis) and dims.
-    """
-
-    rows: np.ndarray
-    r: int
-    live: np.ndarray
-    dims: np.ndarray
-    dirs: np.ndarray
-    supports: np.ndarray
-    capped: int | None
-
-
-def _family(rows, r):
-    """The _Family of stage-major rows with r generators per stage."""
-    n = rows.shape[1]
-    live, basis, dims = _spans(rows)
-    # per-stage bookkeeping on plain lists: a few stages, so numpy's fixed
-    # cost per call would outweigh the work
-    span_dims = dims.tolist()[r::r]
-    counts = itertools.islice(itertools.accumulate(live.tolist()), r - 1, None, r)
-    over = (_normals_capped(m, d) for m, d in zip(counts, span_dims))
-    capped = next((k for k, o in enumerate(over, 1) if o), None)
-    stages = len(span_dims) if capped is None else capped - 1
-    starts = [k for k in range(stages) if k == 0 or span_dims[k] != span_dims[k - 1]]
-    runs = list(zip(starts, [*starts[1:], stages]))
-    normals = []
-    for _, end in runs:
-        span = basis[: span_dims[end - 1]]
-        head = rows[: end * r][live[: end * r]]
-        normals.append(_facet_normals(head @ span.T) @ span if len(span) else span)
-    dirs = np.vstack([basis, *normals])
-    supports = np.full((len(dirs), stages), np.inf)
-    i = n
-    for (start, end), d in zip(runs, normals):
-        supports[span_dims[start] : n, start:end] = 0.0
-        sums = _cumulative_supports(d, rows[: end * r], r)
-        supports[i : i + len(d), start:end] = sums[:, start:]
-        i += len(d)
-    return _Family(rows, r, live, dims, dirs, supports, capped)
-
-
-def _cumulative_supports(dirs, rows, r):
-    """Support of each stage of rows (r per stage) along each row of dirs."""
-    return np.cumsum(np.abs(dirs @ rows.T), axis=1)[:, r - 1 :: r]
-
-
-def _gauges(fam, x, lo, hi):
-    """Gauges of x in stages lo+1 .. hi of a family, and separating
-    directions.
-
-    x lies in stage k when its gauge is at most 1: within GAUGE_TOL *
-    max(1, |x|) of the span (Euclidean distance, from the complement
-    rows), and |D x| within GAUGE_TOL * C plus the rounding bound of the
-    products; the gauge is then capped at 1, since rounding on a thin
-    facet can push the ratio past it. Otherwise the gauge exceeds 1
-    (infinite off the span) and d . x > sum |d . g| for the unit
-    direction d; it is None for members.
-    """
-    c = fam.supports[:, lo:hi]
-    dx = fam.dirs @ x
-    ax = np.abs(dx)[:, np.newaxis]
-    off = np.where(c == 0.0, ax, 0.0)
-    # a distance, so the same in any basis of the stage's complement
-    leaves = np.linalg.norm(off, axis=0) > GAUGE_TOL * max(1.0, np.linalg.norm(x))
-    m = fam.r * np.arange(lo + 1, lo + 1 + c.shape[1])
-    rounding = m * EPS * ((np.abs(fam.dirs) @ np.abs(x))[:, np.newaxis] + c)
-    span = c > 0.0
-    slack = np.where(span, ax - c * (1.0 + GAUGE_TOL) - rounding, -np.inf)
-    outside = slack.max(axis=0) > 0.0
-    gauge = np.divide(ax, c, out=np.zeros_like(c), where=span).max(axis=0)
-    gauge = np.where(leaves, np.inf, np.where(outside, gauge, np.minimum(gauge, 1.0)))
-    j = np.where(leaves, off.argmax(axis=0), slack.argmax(axis=0))
-    direction = np.sign(dx[j])[:, np.newaxis] * fam.dirs[j]
-    decided = leaves | outside
-    return zip(gauge.tolist(), [d if o else None for d, o in zip(direction, decided)])
 
 
 def _stage_gauges(fam, x, start=1):
@@ -242,41 +149,39 @@ def _descend(fam, k, x):
     the walk repeats on the tied ones, projected off d, with y/t minus the
     pinned sum; an independent tied set ends it with one linear solve. A
     normal that ties every active generator (a rounding-level direction
-    of the span) is skipped. The first level reads the family's stage-k
-    normals, deeper ones call hform on the tied rows; where the normals
-    are capped (stage k from fam.capped on, or a tied set past
-    MAX_GENERATORS) the level's one normal is lp.max_margin's direction,
-    the duals of its gauge LP's n rows, which supports y's face. A gauge
-    within the rounding bound of 1 counts as 1, so noise along a thin
-    facet does not rescale the inputs. Generators that are not live
-    (zonotope._spans) get input 0 and stay free; the free mask adds the
-    active generators of the first level whose gauge is more than
-    BOUNDARY_TOL below 1. The witness
-    must replay within lp.RESIDUAL_TOL on the equations and the box, or
-    InternalError.
+    of the span) is skipped. Every level reads its normals from one
+    source: a family's stage column, stage k of fam at the first level and
+    the one stage of _family(tied rows) deeper down, or, where that family
+    is capped (stage k from fam.capped on, or a tied set past
+    MAX_GENERATORS), one normal: lp.max_margin's direction, the duals of
+    its gauge LP's n rows, which supports y's face. A gauge within the
+    rounding bound of 1 counts as 1, so noise along a thin facet does not
+    rescale the inputs. Generators that are not live (zonotope._spans)
+    get input 0 and stay free; the free mask adds the active generators
+    of the first level whose gauge is more than BOUNDARY_TOL below 1. The
+    witness must replay within lp.RESIDUAL_TOL on the equations and the
+    box, or InternalError.
     """
     rows = fam.rows[: k * fam.r]
     m, n = rows.shape
     norms = np.linalg.norm(rows, axis=1)
     tiny = ~fam.live[: k * fam.r]
-    dirs = None
-    if k <= fam.supports.shape[1]:
-        c = fam.supports[:, k - 1]
-        use = (c > 0.0) & (c < math.inf)
-        dirs, sup = fam.dirs[use], c[use]
+    level, stage = fam, k
     u, y, scale, free = np.zeros(m), x, 1.0, None
     active = np.flatnonzero(~tiny)
     flat = rows[active]
     while active.size > 1 and not (
         active.size <= n and _spans(flat)[2][-1] == active.size
     ):
-        if dirs is None:
-            try:
-                form = hform(flat)
-                dirs, sup = form.normals, form.supports
-            except TooManyGenerators:
-                d = lp.max_margin(_box_lp(flat, y)).direction
-                dirs, sup = d[np.newaxis], np.abs(flat @ d).sum(keepdims=True)
+        if level is None:
+            level, stage = _family(flat, len(flat)), 1
+        if stage <= level.supports.shape[1]:
+            c = level.supports[:, stage - 1]
+            use = (c > 0.0) & (c < math.inf)
+            dirs, sup = level.dirs[use], c[use]
+        else:
+            d = lp.max_margin(_box_lp(flat, y)).direction
+            dirs, sup = d[np.newaxis], np.abs(flat @ d).sum(keepdims=True)
         dy = dirs @ y
         facet = (np.abs(dirs @ flat.T) > TIE_TOL * norms[active]).any(axis=1)
         if not facet.any():
@@ -297,7 +202,7 @@ def _descend(fam, k, x):
         u[active[~tied]] = scale * t * signs
         y = y / t - signs @ rows[active[~tied]]
         scale *= t
-        active, flat, dirs = active[tied], flat[tied] - np.outer(proj[tied], d), None
+        active, flat, level = active[tied], flat[tied] - np.outer(proj[tied], d), None
     u[active] = scale * np.linalg.lstsq(rows[active].T, y, rcond=None)[0]
     # a faint generator can take rounding noise for its input: bring it
     # back into the box where that moves the state by a rounding amount
@@ -375,8 +280,9 @@ def _min_time(fam, x, kind):
         # reach: generator block i acts at time steps-1-i
         inputs = inputs[::-1].copy() if kind is RegionKind.REACH else -inputs
     margin = 1.0 - gauge
-    if steps < horizon:
-        # the strategy dimension is taken at the horizon
+    if steps < horizon and margin <= BOUNDARY_TOL:
+        # the strategy dimension is taken at the horizon; stages are nested,
+        # so an interior state of stage steps is interior there too
         gauge, walk = next(_stage_gauges(fam, x, horizon))[0], None
     return ControlSolution(
         min_steps=steps,
@@ -439,11 +345,7 @@ def _containment(inner, outer):
     failing stage. Raises TooManyGenerators when an outer stage is past
     the normal cap.
     """
-    if outer.capped:
-        raise TooManyGenerators(
-            f"stage {outer.capped} is past the normal cap {MAX_GENERATORS}"
-        )
-    h_out = outer.supports
+    h_out = _uncapped(outer).supports
     h_in = _cumulative_supports(outer.dirs, inner.rows, inner.r)
     ratio = np.divide(h_in, h_out, out=np.zeros_like(h_in), where=h_out > 0.0)
     worst = float(ratio.max(initial=0.0))

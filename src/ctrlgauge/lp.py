@@ -35,16 +35,13 @@ from .errors import (
     InternalError,
     IterationLimit,
 )
-from .zonotope import EPS
+from .zonotope import EPS, GAUGE_TOL  # GAUGE_TOL: the membership slack of _gauges
 
 logger = logging.getLogger("ctrlgauge.lp")
 
 PIVOT_TOL = 1e-10
 BOUND_TOL = 1e-9
 RESIDUAL_TOL = 1e-7
-# membership slack on the gauge (and, in control, off the span on the
-# distance relative to max(1, |x|))
-GAUGE_TOL = 1e-10
 ITERATION_LIMIT = 50000
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
@@ -363,7 +360,7 @@ def max_margin(lp):
     d . y = gauge sum_j |d . g_j| over the columns g_j of G, so at a
     margin below s_cap it is the normal of a face through x0. x0 is
     outside the box image when d separates it by more than rounding, the
-    rule control._gauges reads stage gauges by: d . y > C (1 + GAUGE_TOL)
+    rule zonotope._gauges reads stage gauges by: d . y > C (1 + GAUGE_TOL)
     + (m + 1) EPS (|d| . |y| + C) with C = h sum_j |d . g_j|. Then
     Infeasible is raised with d as its certificate.
     """

@@ -29,9 +29,11 @@ One span rule (_spans) decides every span and rank, here and in region
 and control: a generator counts, and adds a direction, above TIE_TOL
 times the largest generator norm before it. So its decision about the
 first j generators reads those j only, nested stages have nested spans,
-and a set's rank can depend on its generators' order. Membership, gauges and
-containment all read one rank-aware H-form (hform): the complement of
-the generators' span, unit facet normals in it, and their supports.
+and a set's rank can depend on its generators' order. One H-form
+(_family: span complements, facet normals and cumulative supports of
+every stage of stage-major rows) serves membership, gauges and
+containment; a zonotope's own is the one stage of _family(G, len(G)),
+and membership has one rule (_gauges), min_time's and contains_point's.
 
 Vertex counts need no enumeration (_prefix_counts): by the same
 recursion a live generator parallel to no earlier one adds as many
@@ -79,8 +81,10 @@ from .errors import (
     ZeroDirection,
 )
 
-DEDUP_TOL = 1e-9
 TIE_TOL = 1e-12
+# membership slack on the gauge (_gauges), and off the span on the distance
+# relative to max(1, |x|); lp.max_margin decides membership by it too
+GAUGE_TOL = 1e-10
 EPS = float(np.finfo(float).eps)
 MAX_GENERATORS = 20
 # subsets Zonotope.volume sums at most; a 50-step stage in R^3 has 19 600
@@ -596,46 +600,106 @@ def _restrict(P, mask, rows=slice(None)):
     return v, proj, kept, new
 
 
-# --- H-representation and membership -----------------------------------------
+# --- H-form and membership ----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class HForm:
-    """Rank-aware H-form Z = {x : C x = 0, |D x| <= c}.
+class _Family:
+    """Stage-major generator rows (stage k is rows[:k*r]) with their facets.
 
-    complement (C) holds orthonormal rows spanning the complement of the
-    generators' span; normals (D) are unit rows inside the span, one per
-    facet direction there (extra non-facet rows are harmless), and
-    supports (c) are their support values sum_k |D g_k|.
+    live and dims come from one _spans call. dirs stacks its basis, whose
+    rows from dims[k*r] on are stage k's complement, and the unit facet
+    normals of the last stage of each run of stages of one span dimension
+    (they include every earlier stage's subset normals). supports[i, k-1]
+    is stage k's cumulative support sum_{j < k r} |dirs[i] . g_j| along a
+    normal of its run, 0 along its own complement rows and infinite where
+    row i bounds nothing. capped is the first stage past the normal cap
+    (span dimension 4 or more and more than MAX_GENERATORS live
+    generators), or None; earlier stages have columns. It is the one
+    source of what compare_ability and verify_theorem1 report (the rank
+    dims[-1]; live, dirs[:n] and dims for the vertex states), and a
+    zonotope's own H-form is the one stage of _family(G, len(G)).
     """
 
-    complement: np.ndarray
-    normals: np.ndarray
+    rows: np.ndarray
+    r: int
+    live: np.ndarray
+    dims: np.ndarray
+    dirs: np.ndarray
     supports: np.ndarray
+    capped: int | None
 
 
-def hform(gens):
-    """H-form of the zonotope generated by the rows of gens.
+def _family(rows, r):
+    """The _Family of stage-major rows with r generators per stage."""
+    n = rows.shape[1]
+    live, basis, dims = _spans(rows)
+    # per-stage bookkeeping on plain lists: a few stages, so numpy's fixed
+    # cost per call would outweigh the work
+    span_dims = dims.tolist()[r::r]
+    counts = itertools.islice(itertools.accumulate(live.tolist()), r - 1, None, r)
+    over = (d >= 4 and m > MAX_GENERATORS for m, d in zip(counts, span_dims))
+    capped = next((k for k, o in enumerate(over, 1) if o), None)
+    stages = len(span_dims) if capped is None else capped - 1
+    starts = [k for k in range(stages) if k == 0 or span_dims[k] != span_dims[k - 1]]
+    runs = list(zip(starts, [*starts[1:], stages]))
+    normals = []
+    for _, end in runs:
+        span = basis[: span_dims[end - 1]]
+        head = rows[: end * r][live[: end * r]]
+        normals.append(_facet_normals(head @ span.T) @ span if len(span) else span)
+    dirs = np.vstack([basis, *normals])
+    supports = np.full((len(dirs), stages), np.inf)
+    i = n
+    for (start, end), d in zip(runs, normals):
+        supports[span_dims[start] : n, start:end] = 0.0
+        sums = _cumulative_supports(d, rows[: end * r], r)
+        supports[i : i + len(d), start:end] = sums[:, start:]
+        i += len(d)
+    return _Family(rows, r, live, dims, dirs, supports, capped)
 
-    Facet normals are computed in the generators' span (_spans) and lifted
-    back, so flat zonotopes keep exact facets there; the supports sum over
-    every row. Raises TooManyGenerators when the span has dimension 4 or
-    more and there are more than MAX_GENERATORS live generators.
+
+def _uncapped(fam):
+    """fam, or TooManyGenerators when a stage of it is past the normal cap."""
+    if fam.capped:
+        raise TooManyGenerators(f"stage {fam.capped} is past the normal cap {MAX_GENERATORS}")
+    return fam
+
+
+def _cumulative_supports(dirs, rows, r):
+    """Support of each stage of rows (r per stage) along each row of dirs."""
+    return np.cumsum(np.abs(dirs @ rows.T), axis=1)[:, r - 1 :: r]
+
+
+def _gauges(fam, x, lo, hi):
+    """Gauges of x in stages lo+1 .. hi of a family, and separating
+    directions.
+
+    x lies in stage k when its gauge is at most 1: within GAUGE_TOL *
+    max(1, |x|) of the span (Euclidean distance, from the complement
+    rows), and |D x| within GAUGE_TOL * C plus the rounding bound of the
+    products; the gauge is then capped at 1, since rounding on a thin
+    facet can push the ratio past it. Otherwise the gauge exceeds 1
+    (infinite off the span) and d . x > sum |d . g| for the unit
+    direction d; it is None for members.
     """
-    gens = np.asarray(gens, dtype=float)
-    live, basis, dims = _spans(gens)
-    span = basis[: dims[-1]]
-    normals = _facet_normals(gens[live] @ span.T) @ span if len(span) else span
-    # every row counts in the supports, rounding-level ones included: a row
-    # the span drops can still weigh on a thin facet
-    supports = np.abs(normals @ gens.T).sum(axis=1)
-    return HForm(basis[dims[-1] :], normals, supports)
-
-
-def _normals_capped(m, rank):
-    """Whether hform raises TooManyGenerators for m live generators
-    spanning rank dimensions."""
-    return (rank >= 4) & (m > MAX_GENERATORS)
+    c = fam.supports[:, lo:hi]
+    dx = fam.dirs @ x
+    ax = np.abs(dx)[:, np.newaxis]
+    off = np.where(c == 0.0, ax, 0.0)
+    # a distance, so the same in any basis of the stage's complement
+    leaves = np.linalg.norm(off, axis=0) > GAUGE_TOL * max(1.0, np.linalg.norm(x))
+    m = fam.r * np.arange(lo + 1, lo + 1 + c.shape[1])
+    rounding = m * EPS * ((np.abs(fam.dirs) @ np.abs(x))[:, np.newaxis] + c)
+    span = c > 0.0
+    slack = np.where(span, ax - c * (1.0 + GAUGE_TOL) - rounding, -np.inf)
+    outside = slack.max(axis=0) > 0.0
+    gauge = np.divide(ax, c, out=np.zeros_like(c), where=span).max(axis=0)
+    gauge = np.where(leaves, np.inf, np.where(outside, gauge, np.minimum(gauge, 1.0)))
+    j = np.where(leaves, off.argmax(axis=0), slack.argmax(axis=0))
+    direction = np.sign(dx[j])[:, np.newaxis] * fam.dirs[j]
+    decided = leaves | outside
+    return zip(gauge.tolist(), [d if o else None for d, o in zip(direction, decided)])
 
 
 def _facet_normals(gens):
@@ -643,7 +707,7 @@ def _facet_normals(gens):
 
     Facet normals are orthogonal to n-1 independent generators, so rotated
     generators (n = 2), pair cross products (n = 3), and null vectors of
-    (n-1)-subsets (n >= 4, capped at MAX_GENERATORS) cover them all. Extra
+    (n-1)-subsets (n >= 4) cover them all; _family caps the last. Extra
     non-facet normals are harmless: every support inequality is valid.
     Generators are scaled to unit length, so subsets are independent by
     their sines (above TIE_TOL, as in _spans); none is DegenerateZonotope.
@@ -654,10 +718,6 @@ def _facet_normals(gens):
     unit = gens / np.linalg.norm(gens, axis=1)[:, np.newaxis]
     if n == 2:
         return np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-    if _normals_capped(m, n):
-        raise TooManyGenerators(
-            f"{m} generators exceed the H-representation cap {MAX_GENERATORS}"
-        )
     if n == 3:
         # the pairs i < j, crossed in np.cross's operation order (the same
         # bits) without its fixed cost on tiny arrays
@@ -678,30 +738,31 @@ def _facet_normals(gens):
 def halfspace_representation(z):
     """Exact H-form (unit normals D, offsets c): Z = {x : |D x| <= c}.
 
-    Requires generators spanning R^n; flat zonotopes raise
-    DegenerateZonotope (use hform or contains_point for those).
+    D holds the normal rows of the zonotope's one-stage _family and c
+    their supports, summed over every generator. Requires generators
+    spanning R^n: flat zonotopes raise DegenerateZonotope (contains_point
+    takes those). Past the normal cap, TooManyGenerators.
     """
-    hf = hform(z.generators)
-    if hf.complement.shape[0]:
+    fam = _uncapped(_family(z.generators, z.m))
+    if fam.dims[-1] < z.n:
         raise DegenerateZonotope("generators do not span the space")
-    return hf.normals, hf.supports
+    return fam.dirs[z.n :], fam.supports[z.n :, 0]
 
 
-def contains_point(z, point, tol=DEDUP_TOL):
-    """Membership test via the support inequalities; tol is a distance.
+def contains_point(z, point):
+    """Whether point lies in z: its gauge in the zonotope's one-stage
+    _family is at most 1 (_gauges, the rule min_time decides stages by).
 
-    Points farther than tol from the generators' span are outside.
+    Flat zonotopes hold the points within GAUGE_TOL * max(1, |x|) of their
+    span. Past the normal cap, TooManyGenerators.
     """
     x = np.asarray(point, dtype=float).ravel()
     if x.size != z.n:
         raise DimensionMismatch(f"point must have length {z.n}")
     if not np.isfinite(x).all():
         raise DimensionMismatch("point contains non-finite entries")
-    hf = hform(z.generators)
-    if np.linalg.norm(hf.complement @ x) > tol:
-        return False
-    rounding = z.m * EPS * (np.abs(hf.normals) @ np.abs(x) + hf.supports)
-    return bool(np.all(np.abs(hf.normals @ x) <= hf.supports + tol + rounding))
+    gauge, _ = next(_gauges(_uncapped(_family(z.generators, z.m)), x, 0, 1))
+    return gauge <= 1.0
 
 
 # --- polygon exports ---------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 import ctrlgauge
 from ctrlgauge import LdtSystem
+from ctrlgauge.zonotope import _family
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 DC_MODEL = MODELS_DIR / "dc_motor.json"
@@ -122,6 +123,14 @@ def near_parallel_rows():
     e = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     f = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
     return np.array([g1, g1 + 0.65e-9 * e, g1 + 0.65e-9 * f]), e
+
+
+def own_hform(rows):
+    """A zonotope's own H-form, the one stage of _family(rows, len(rows)):
+    (complement rows, unit facet normals, their supports)."""
+    fam = _family(rows, len(rows))
+    n = rows.shape[1]
+    return fam.dirs[fam.dims[-1] : n], fam.dirs[n:], fam.supports[n:, 0]
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import AC_MODEL, DC_MODEL, make_system, near_parallel_rows
+from conftest import AC_MODEL, DC_MODEL, make_system, near_parallel_rows, own_hform
 from ctrlgauge import (
     BadRange,
     BoxLp,
@@ -22,6 +22,8 @@ from ctrlgauge import (
     Zonotope,
     brute_vertices,
     compare_ability,
+    contains_point,
+    halfspace_representation,
     load_model,
     lp_feasible,
     lp_optimize,
@@ -36,7 +38,7 @@ from ctrlgauge import (
 from ctrlgauge import control, lp, zonotope
 from ctrlgauge.control import EPS, GAUGE_TOL, _descend, _family, _stage_gauges
 from ctrlgauge.errors import CtrlGaugeError, InternalError, SingularA, UnstableGrowth
-from ctrlgauge.zonotope import _spans, hform
+from ctrlgauge.zonotope import _spans
 from polytope_enum import _rank, affine_dim
 
 
@@ -167,8 +169,13 @@ class TestMinTimeLpFallback:
     def test_capped_stage_witness_and_certificate(self):
         sys_, rng = self._system()
         rows = stage_generators(sys_, 8, RegionKind.REACH)
+        # the normal cap is checked in _family alone: stage 7's 21
+        # generators are past it, so no H-form is built for them
+        assert _family(rows[:21], 21).capped == 1
         with pytest.raises(TooManyGenerators):
-            hform(rows[:21])
+            halfspace_representation(Zonotope(rows[:21]))
+        with pytest.raises(TooManyGenerators):
+            contains_point(Zonotope(rows[:21]), rows[0])
         # the vertex a generic direction exposes needs all eight steps
         d = rng.standard_normal(4)
         x0 = np.where(rows @ d >= 0.0, 1.0, -1.0) @ rows
@@ -359,12 +366,12 @@ class TestStageGauge:
         # some of its vertices past gauge 1 + GAUGE_TOL
         dc, dc_spec = load_model(DC_MODEL)
         rows = stage_generators(normalize_full(dc, dc_spec), 80, RegionKind.RECOVER)
-        hf = hform(rows)
+        normals, supports = halfspace_representation(Zonotope(rows))
         rng = np.random.default_rng(1)
         worst = 0.0
         for _ in range(40):
             x = np.where(rows @ rng.standard_normal(3) >= 0.0, 1.0, -1.0) @ rows
-            worst = max(worst, float(np.max(np.abs(hf.normals @ x) / hf.supports)))
+            worst = max(worst, float(np.max(np.abs(normals @ x) / supports)))
             assert _stage_gauge(rows, x)[0] <= 1.0
             gauge, d = _stage_gauge(rows, 1.001 * x)
             assert gauge > 1.0
@@ -373,17 +380,17 @@ class TestStageGauge:
 
 
 def _own_stage_gauge(rows, x):
-    """Gauge of x from the stage's own H-form alone, one hform per stage."""
-    hf = hform(rows)
-    off = hf.complement @ x
+    """Gauge of x from the stage's own H-form alone, one per stage."""
+    complement, normals, supports = own_hform(rows)
+    off = complement @ x
     if np.linalg.norm(off) > GAUGE_TOL * max(1.0, np.linalg.norm(x)):
         return math.inf
-    dx = np.abs(hf.normals @ x)
+    dx = np.abs(normals @ x)
     if not dx.size:
         return 0.0
-    rounding = rows.shape[0] * EPS * (np.abs(hf.normals) @ np.abs(x) + hf.supports)
-    gauge = float(np.max(dx / hf.supports))
-    inside = np.all(dx <= hf.supports * (1.0 + GAUGE_TOL) + rounding)
+    rounding = rows.shape[0] * EPS * (np.abs(normals) @ np.abs(x) + supports)
+    gauge = float(np.max(dx / supports))
+    inside = np.all(dx <= supports * (1.0 + GAUGE_TOL) + rounding)
     return min(gauge, 1.0) if inside else gauge
 
 
@@ -427,59 +434,115 @@ def _rank_drop_system():
     return LdtSystem(name="d", A=np.diag([10.0, 0.5]), B=np.full((2, 1), 1e-3))
 
 
+def _random_family_cases(n, r):
+    """(rows, r, states) of random reach and recover families, with and
+    without parallel inputs."""
+    rng = np.random.default_rng(40 + 10 * n + r)
+    for parallel in (False, True):
+        sys_ = make_system(rng, n, r=r, scale=0.9)
+        # well-conditioned A, so that the recover generators stay small
+        A = 0.7 * np.linalg.qr(sys_.A)[0] + 0.2 * sys_.A
+        # with r = 2, B's second column is parallel to its first
+        B = np.hstack([sys_.B[:, :1], -1.7 * sys_.B[:, :1]]) if parallel else sys_.B
+        sys_ = LdtSystem(name="s", A=A, B=B[:, :r])
+        for kind in (RegionKind.REACH, RegionKind.RECOVER):
+            rows = stage_generators(sys_, 12 // r if n == 4 else 6, kind)
+            yield rows, r, _stage_states(rows, r, rng)
+
+
+def _thin_motor_case():
+    dc, dc_spec = load_model(DC_MODEL)
+    rows = stage_generators(normalize_full(dc, dc_spec), 80, RegionKind.RECOVER)
+    rng = np.random.default_rng(2)
+    states = _stage_states(rows, 1, rng)
+    return rows, 1, [states[i] for i in rng.choice(len(states), 24)]
+
+
+THIN_AND_RANK_DROP = [(_thin_system(1e-9), 8), (_thin_system(1e-10), 8), (_rank_drop_system(), 16)]
+
+
+def _thin_case(sys_, horizon):
+    rows = stage_generators(sys_, horizon, RegionKind.REACH)
+    pushed = rows[0] + rows[1] + 1e-4 * np.array([1.0, -1.0])
+    return rows, 1, _stage_states(rows, 1, np.random.default_rng(6)) + [pushed]
+
+
+def _leaky_cases():
+    """B lies in an invariant plane of A, but rounding leaks the later
+    generators out of it (up to about 1e-8)."""
+    rng = np.random.default_rng(3)
+    for i in range(16):
+        n = 3 + i % 2
+        J = np.zeros((n, n))
+        J[:2, :2] = rng.uniform(-1.2, 1.2, (2, 2))
+        J[2:, 2:] = rng.uniform(-6.0, 6.0, (n - 2, n - 2))
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        B = Q[:, :2] @ rng.uniform(-1, 1, (2, 1))
+        sys_ = LdtSystem(name="u", A=Q @ J @ Q.T, B=B)
+        rows = stage_generators(sys_, 10, RegionKind.REACH)
+        yield rows, 1, _stage_states(rows, 1, rng)
+
+
 class TestFamilyGauge:
     # one H-form per run of stages and cumulative supports must give every
     # stage the gauge that stage's own H-form gives
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2])
     def test_every_stage_matches_its_own_hform(self, n, r):
-        rng = np.random.default_rng(40 + 10 * n + r)
-        for parallel in (False, True):
-            sys_ = make_system(rng, n, r=r, scale=0.9)
-            # well-conditioned A, so that the recover generators stay small
-            A = 0.7 * np.linalg.qr(sys_.A)[0] + 0.2 * sys_.A
-            # with r = 2, B's second column is parallel to its first
-            B = np.hstack([sys_.B[:, :1], -1.7 * sys_.B[:, :1]]) if parallel else sys_.B
-            sys_ = LdtSystem(name="s", A=A, B=B[:, :r])
-            for kind in (RegionKind.REACH, RegionKind.RECOVER):
-                rows = stage_generators(sys_, 12 // r if n == 4 else 6, kind)
-                _assert_family_matches_own_stages(rows, r, _stage_states(rows, r, rng))
+        for case in _random_family_cases(n, r):
+            _assert_family_matches_own_stages(*case)
 
     def test_thin_motor_recover_family(self):
-        dc, dc_spec = load_model(DC_MODEL)
-        rows = stage_generators(normalize_full(dc, dc_spec), 80, RegionKind.RECOVER)
-        rng = np.random.default_rng(2)
-        states = _stage_states(rows, 1, rng)
-        picked = [states[i] for i in rng.choice(len(states), 24)]
-        _assert_family_matches_own_stages(rows, 1, picked)
+        _assert_family_matches_own_stages(*_thin_motor_case())
 
-    @pytest.mark.parametrize("sys_, horizon", [
-        (_thin_system(1e-9), 8), (_thin_system(1e-10), 8), (_rank_drop_system(), 16),
-    ])
+    @pytest.mark.parametrize("sys_, horizon", THIN_AND_RANK_DROP)
     def test_thin_and_rank_drop_families(self, sys_, horizon):
-        rows = stage_generators(sys_, horizon, RegionKind.REACH)
-        pushed = rows[0] + rows[1] + 1e-4 * np.array([1.0, -1.0])
-        states = _stage_states(rows, 1, np.random.default_rng(6)) + [pushed]
-        _assert_family_matches_own_stages(rows, 1, states)
+        _assert_family_matches_own_stages(*_thin_case(sys_, horizon))
 
     def test_leaky_uncontrollable_families(self):
-        # B lies in an invariant plane of A, but rounding leaks the later
-        # generators out of it (up to about 1e-8): stages of one span
-        # dimension share normals, and the flat early stages keep their own.
-        # The leaked normals are rounding noise, so only membership and the
-        # separating directions are compared.
-        rng = np.random.default_rng(3)
-        for i in range(16):
-            n = 3 + i % 2
-            J = np.zeros((n, n))
-            J[:2, :2] = rng.uniform(-1.2, 1.2, (2, 2))
-            J[2:, 2:] = rng.uniform(-6.0, 6.0, (n - 2, n - 2))
-            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            B = Q[:, :2] @ rng.uniform(-1, 1, (2, 1))
-            sys_ = LdtSystem(name="u", A=Q @ J @ Q.T, B=B)
-            rows = stage_generators(sys_, 10, RegionKind.REACH)
-            states = _stage_states(rows, 1, rng)
-            _assert_family_matches_own_stages(rows, 1, states, rel=None)
+        # stages of one span dimension share normals, and the flat early
+        # stages keep their own. The leaked normals are rounding noise, so
+        # only membership and the separating directions are compared.
+        for case in _leaky_cases():
+            _assert_family_matches_own_stages(*case, rel=None)
+
+
+def _assert_membership_parity(rows, r, states):
+    """contains_point on every stage agrees with the family's gauge <= 1."""
+    fam = _family(rows, r)
+    stages = [Zonotope(rows[: k * r]) for k in range(1, rows.shape[0] // r + 1)]
+    for x in states:
+        for k, (z, (gauge, _)) in enumerate(zip(stages, _stage_gauges(fam, x)), 1):
+            assert contains_point(z, x) == (gauge <= 1.0), (k, gauge)
+
+
+class TestMembershipParity:
+    # membership has one rule: a stage's own contains_point answers what
+    # the family's gauge answers, on every state TestFamilyGauge builds and
+    # at a few rounding steps on either side of the boundary at any scale
+    def test_family_gauge_states(self):
+        cases = [case for n in (2, 3, 4) for r in (1, 2) for case in _random_family_cases(n, r)]
+        cases += [_thin_motor_case(), *_leaky_cases()]
+        cases += [_thin_case(*args) for args in THIN_AND_RANK_DROP]
+        for case in cases:
+            _assert_membership_parity(*case)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e8])
+    def test_scaled_vertices(self, scale):
+        # an absolute slack (1e-9) would take vertices 1 + 1e-9 out at
+        # scale 1e-6 as inside, and at 1e6 and up put vertices 1 + 1e-12
+        # outside
+        rng = np.random.default_rng(17)
+        factors = [1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-11, 1.0 + 1e-10, 1.0 + 1e-9]
+        for n, r, horizon in [(2, 1, 5), (2, 2, 3), (3, 1, 5), (3, 2, 3), (4, 1, 6), (4, 2, 3)]:
+            rows = scale * stage_generators(
+                make_system(rng, n, r=r, scale=0.9), horizon, RegionKind.REACH
+            )
+            vertices = []
+            for k in range(1, horizon + 1):
+                rk = rows[: k * r]
+                vertices.append(np.sign(rk @ rng.standard_normal(n)) @ rk)
+            _assert_membership_parity(rows, r, [f * v for v in vertices for f in factors])
 
 
 class TestUnstableFamily:
@@ -539,11 +602,11 @@ class TestUnstableFamily:
         rows_in = stage_generators(inner, 14, RegionKind.REACH)
         rows_out = stage_generators(outer, 14, RegionKind.REACH)
         for k in range(1, 15):
-            hf = hform(rows_out[:k])
-            dirs = np.vstack([hf.complement, hf.normals])
+            complement, normals, _ = own_hform(rows_out[:k])
+            dirs = np.vstack([complement, normals])
             # supports over every generator, the rounding-level ones too
             h_out = np.abs(dirs @ rows_out[:k].T).sum(axis=1)
-            h_out[: len(hf.complement)] = 0.0
+            h_out[: len(complement)] = 0.0
             h_in = np.abs(dirs @ rows_in[:k].T).sum(axis=1)
             if np.any(h_in - h_out > 1e-9 * np.maximum(1.0, h_out)):
                 want.append(k)
@@ -556,13 +619,13 @@ class TestHformCalls:
     # dimension), never per stage, per state or per sample
     def _count(self, monkeypatch):
         calls = []
-        build = control._facet_normals
+        build = zonotope._facet_normals
 
         def counted(gens):
             calls.append(np.asarray(gens).shape[0])
             return build(gens)
 
-        monkeypatch.setattr(control, "_facet_normals", counted)
+        monkeypatch.setattr(zonotope, "_facet_normals", counted)
         return calls
 
     def test_full_rank_first_stage_builds_one_form(self, monkeypatch, rng):

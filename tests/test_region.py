@@ -135,7 +135,7 @@ class TestFamilies:
             fam = reach_region(sys_, 6)
             for k in range(1, 6):
                 for v in fam.stage(k).vertices():
-                    assert contains_point(fam.stage(k + 1), v, tol=1e-9)
+                    assert contains_point(fam.stage(k + 1), v)
 
     def test_recover_equals_reach_of_inverse(self, rng):
         # steering to zero under (A, B) matches reaching under (A^-1, A^-1 B)
