@@ -103,18 +103,10 @@ def _write_json(path, obj):
 
 
 def _write_manifest(out_dir, command, args, outputs):
-    recorded = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, tuple):
-            value = list(value)
-        recorded[key] = value
     manifest = {
         "command": command,
-        "arguments": recorded,
+        # arrays go through _jsonable, and tuples are written as arrays
+        "arguments": {k: v for k, v in vars(args).items() if k != "func"},
         "outputs": [Path(p).name for p in outputs],
         "version": __version__,
     }

@@ -44,12 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
+from . import _report, lp
 from .errors import (
     BadRange,
     DimensionMismatch,
     Infeasible,
-    InternalError,
     NotMember,
     NotReachable,
     PreconditionNotMet,
@@ -58,7 +57,6 @@ from .region import RegionKind, stage_generators
 from .zonotope import EPS, TIE_TOL
 from .zonotope import _cumulative_supports, _family, _gauges, _shape_report, _spans
 from .zonotope import _uncapped, _vertices, _volume
-from .zonotope import GAUGE_TOL, _Family  # noqa: F401  (importable from here too)
 # not called here; bench/tests looks it up as control.contains_point
 from .zonotope import contains_point  # noqa: F401
 
@@ -127,18 +125,7 @@ class ControlSolution:
     margin: float
     certificate: np.ndarray | None
 
-    def to_dict(self):
-        return {
-            "minSteps": self.min_steps,
-            "inputs": self.inputs.tolist(),
-            "strategyDim": self.strategy_dim,
-            "horizon": self.horizon,
-            "boundary": self.boundary,
-            "margin": self.margin,
-            "certificate": (
-                None if self.certificate is None else self.certificate.tolist()
-            ),
-        }
+    to_dict = _report.to_dict
 
 
 def _descend(fam, k, x):
@@ -159,8 +146,8 @@ def _descend(fam, k, x):
     rescale the inputs. Generators that are not live (zonotope._spans)
     get input 0 and stay free; the free mask adds the active generators
     of the first level whose gauge is more than BOUNDARY_TOL below 1. The
-    witness must replay within lp.RESIDUAL_TOL on the equations and the
-    box, or InternalError.
+    witness is replayed like an LP witness (lp._verify_witness), or
+    InternalError.
     """
     rows = fam.rows[: k * fam.r]
     m, n = rows.shape
@@ -209,13 +196,7 @@ def _descend(fam, k, x):
     excess = np.abs(u) - 1.0
     back = (excess > 0.0) & (excess * norms <= lp.RESIDUAL_TOL / m)
     u[back] = np.sign(u[back])
-    slip = float(np.abs(u).max(initial=0.0)) - 1.0
-    resid = float(np.abs(rows.T @ u - x).max())
-    if resid > lp.RESIDUAL_TOL or slip > lp.RESIDUAL_TOL:
-        raise InternalError(
-            f"face descent witness failed verification (residual={resid:.3e}, "
-            f"bound violation={max(slip, 0.0):.3e})"
-        )
+    lp._verify_witness(rows.T, x, -1.0, 1.0, u, "face descent")
     return u, tiny if free is None else free
 
 
@@ -323,14 +304,7 @@ class AbilityVerdict:
     certificate: dict | None
     metrics: dict
 
-    def to_dict(self):
-        return {
-            "relation": self.relation,
-            "stronger": self.stronger,
-            "atHorizon": self.at_horizon,
-            "certificate": self.certificate,
-            "metrics": self.metrics,
-        }
+    to_dict = _report.to_dict
 
 
 def _containment(inner, outer):
@@ -454,18 +428,7 @@ class TheoremReport:
     summary: dict
     passed: bool
 
-    def to_dict(self):
-        return {
-            "horizon": self.horizon,
-            "kind": self.kind,
-            "samples": self.samples,
-            "seed": self.seed,
-            "checked": self.checked,
-            "minTimeViolations": self.min_time_violations,
-            "dimViolations": self.dim_violations,
-            "summary": self.summary,
-            "passed": self.passed,
-        }
+    to_dict = _report.to_dict
 
 
 def verify_theorem1(

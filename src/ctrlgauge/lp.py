@@ -248,13 +248,13 @@ class _Simplex:
         return True, self.x[:ncols].copy(), phase1, y1
 
 
-def _verify_witness(lp, u, context):
+def _verify_witness(G, x0, lower, upper, u, context):
     # the published witness contract: equality residual and bound slip
     # both within RESIDUAL_TOL; ill-conditioned bases can drift past the
     # much tighter pivoting tolerance without being wrong answers
-    resid = float(np.abs(lp.G @ u - lp.x0).max()) if u.size else 0.0
-    low_viol = float(np.max(lp.lower - u, initial=0.0))
-    up_viol = float(np.max(u - lp.upper, initial=0.0))
+    resid = float(np.abs(G @ u - x0).max()) if u.size else 0.0
+    low_viol = float((lower - u).max(initial=0.0))
+    up_viol = float((u - upper).max(initial=0.0))
     if resid > RESIDUAL_TOL or low_viol > RESIDUAL_TOL or up_viol > RESIDUAL_TOL:
         raise InternalError(
             f"{context}: witness failed verification "
@@ -299,7 +299,7 @@ def feasible(lp):
             certificate=_farkas_certificate(lp, y),
             residual=phase1,
         )
-    resid = _verify_witness(lp, u, "feasible")
+    resid = _verify_witness(lp.G, lp.x0, lp.lower, lp.upper, u, "feasible")
     return FeasibilityResult(
         feasible=True, witness=u, certificate=None, residual=resid
     )
@@ -326,7 +326,7 @@ def optimize(lp, sense="min"):
             f"no feasible point (phase-1 residual {phase1:.3e})",
             certificate=_farkas_certificate(lp, y),
         )
-    _verify_witness(lp, u, "optimize")
+    _verify_witness(lp.G, lp.x0, lp.lower, lp.upper, u, "optimize")
     ncols = lp.G.shape[1]
     red = solver.reduced[:ncols]
     stat = solver.status[:ncols]
@@ -392,5 +392,5 @@ def max_margin(lp):
     if t <= 0.0:
         raise InternalError("gauge LP: infinite gauge on a state the rule keeps")
     u = centre + z[:m] / t
-    _verify_witness(lp, u, "max_margin")
+    _verify_witness(lp.G, lp.x0, lp.lower, lp.upper, u, "max_margin")
     return MarginResult(margin=min(s_cap, h - 1.0 / t), witness=u, direction=d)

@@ -63,8 +63,10 @@ class LdtSystem:
 
 
 def _check_bounds(vec, length, what):
+    """vec as a flat float array of positive, finite bounds; a length of
+    None skips the length check."""
     arr = np.asarray(vec, dtype=float).ravel()
-    if arr.size != length:
+    if length is not None and arr.size != length:
         raise DimensionMismatch(f"{what} must have length {length}, got {arr.size}")
     if not np.isfinite(arr).all() or np.any(arr <= 0.0):
         raise NonPositiveBound(f"{what} entries must be positive and finite")
@@ -85,19 +87,11 @@ class NormalizationSpec:
     state_target: np.ndarray | None = None
 
     def __post_init__(self):
-        ir = np.asarray(self.input_rated, dtype=float).ravel()
-        sr = np.asarray(self.state_rated, dtype=float).ravel()
-        if not np.isfinite(ir).all() or np.any(ir <= 0.0):
-            raise NonPositiveBound("input_rated entries must be positive and finite")
-        if not np.isfinite(sr).all() or np.any(sr <= 0.0):
-            raise NonPositiveBound("state_rated entries must be positive and finite")
-        object.__setattr__(self, "input_rated", ir)
-        object.__setattr__(self, "state_rated", sr)
+        names = ["input_rated", "state_rated"]
         if self.state_target is not None:
-            st = np.asarray(self.state_target, dtype=float).ravel()
-            if not np.isfinite(st).all() or np.any(st <= 0.0):
-                raise NonPositiveBound("state_target entries must be positive and finite")
-            object.__setattr__(self, "state_target", st)
+            names.append("state_target")
+        for name in names:
+            object.__setattr__(self, name, _check_bounds(getattr(self, name), None, name))
 
 
 @dataclass(frozen=True)
@@ -193,18 +187,13 @@ def model_from_dict(data):
     spec = NormalizationSpec(
         input_rated=rated_u, state_rated=rated_x, state_target=target_x
     )
-    if spec.input_rated.size != sys.r:
-        raise DimensionMismatch(
-            f"rated.u has length {spec.input_rated.size}, expected r={sys.r}"
-        )
-    if spec.state_rated.size != sys.n:
-        raise DimensionMismatch(
-            f"rated.x has length {spec.state_rated.size}, expected n={sys.n}"
-        )
-    if spec.state_target is not None and spec.state_target.size != sys.n:
-        raise DimensionMismatch(
-            f"target.x has length {spec.state_target.size}, expected n={sys.n}"
-        )
+    for key, arr, dim, size in (
+        ("rated.u", spec.input_rated, "r", sys.r),
+        ("rated.x", spec.state_rated, "n", sys.n),
+        ("target.x", spec.state_target, "n", sys.n),
+    ):
+        if arr is not None and arr.size != size:
+            raise DimensionMismatch(f"{key} has length {arr.size}, expected {dim}={size}")
     return sys, spec
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _report
 from .errors import (
     DegenerateZonotope,
     DimensionMismatch,
@@ -297,15 +298,7 @@ class McVolumeResult:
     box_volume: float
     seed: int
 
-    def to_dict(self):
-        return {
-            "estimate": self.estimate,
-            "stdError": self.std_error,
-            "hitRate": self.hit_rate,
-            "samples": self.samples,
-            "boxVolume": self.box_volume,
-            "seed": self.seed,
-        }
+    to_dict = _report.to_dict
 
 
 def mc_volume(z, cfg=None):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _report
 from .errors import (
     BadRange,
     HorizonTooShort,
@@ -110,13 +111,7 @@ class ControllabilityReport:
     controllable: bool
     nc: int
 
-    def to_dict(self):
-        return {
-            "rankPn": self.rank_pn,
-            "grammianMinEigen": self.grammian_min_eigen,
-            "controllable": self.controllable,
-            "nc": self.nc,
-        }
+    to_dict = _report.to_dict
 
 
 def controllability_report(sys, horizon):
@@ -153,19 +148,7 @@ class ExpansionReport:
     stage_from: int
     stage_to: int
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "addedRank": self.added_rank,
-            "witnessDirection": (
-                None
-                if self.witness_direction is None
-                else self.witness_direction.tolist()
-            ),
-            "supportGap": self.support_gap,
-            "stageFrom": self.stage_from,
-            "stageTo": self.stage_to,
-        }
+    to_dict = _report.to_dict
 
 
 def expansion_check(family, stage_from, stage_to):

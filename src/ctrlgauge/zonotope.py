@@ -72,6 +72,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _report
 from .errors import (
     BadAxes,
     DegenerateZonotope,
@@ -209,16 +210,12 @@ class ShapeReport:
     rank: int
 
     def to_dict(self):
-        return {
-            "volume": self.volume,
-            "sideLengths": self.side_lengths.tolist(),
-            "overallShapeFactor": self.overall_shape_factor,
-            "planarShapeFactors": {
-                f"x{i + 1},x{j + 1}": v
-                for (i, j), v in sorted(self.planar_shape_factors.items())
-            },
-            "rank": self.rank,
+        report = _report.to_dict(self)
+        report["planarShapeFactors"] = {
+            f"x{i + 1},x{j + 1}": v
+            for (i, j), v in sorted(self.planar_shape_factors.items())
         }
+        return report
 
 
 def _shape_report(G, rank, volume):

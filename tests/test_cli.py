@@ -322,6 +322,33 @@ class TestTopLevel:
         with pytest.raises(SystemExit):
             run_cli(["frobnicate"])
 
+    def test_manifest_text(self, tmp_path):
+        # parsed arguments as the parser leaves them: an array (--x0),
+        # tuples (--steps, --project), a None and the handler, not recorded
+        args = argparse.Namespace(
+            command="region",
+            x0=np.array([15.0, -0.5]),
+            steps=(3, 5),
+            project=(0, 2),
+            model=None,
+            func=print,
+        )
+        path = cli._write_manifest(tmp_path, "region", args, [tmp_path / "region.csv"])
+        assert path.read_text() == (
+            "{\n"
+            '  "arguments": {\n'
+            '    "command": "region",\n'
+            '    "model": null,\n'
+            '    "project": [\n      0,\n      2\n    ],\n'
+            '    "steps": [\n      3,\n      5\n    ],\n'
+            '    "x0": [\n      15.0,\n      -0.5\n    ]\n'
+            "  },\n"
+            '  "command": "region",\n'
+            '  "outputs": [\n    "region.csv"\n  ],\n'
+            f'  "version": "{cli.__version__}"\n'
+            "}\n"
+        )
+
 
 class TestRepeatedCalls:
     """main builds its parser once per process and may be called again."""
