@@ -1,6 +1,7 @@
 """Tests for stage-indexed controllability region families."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -66,9 +67,56 @@ class TestStageGenerators:
             stage_generators(sys_, 0, RegionKind.REACH)
 
     def test_unstable_growth_guard(self):
+        # 100^7 = 1e14 is the first entry past 1e12, at step 7 of the first
+        # chunk, whatever the horizon
         sys_ = LdtSystem(name="blowup", A=100.0 * np.eye(2), B=np.ones((2, 1)))
-        with pytest.raises(UnstableGrowth):
-            stage_generators(sys_, 9, RegionKind.REACH)
+        for horizon in (8, 9, 1000):
+            with pytest.raises(UnstableGrowth) as err:
+                stage_generators(sys_, horizon, RegionKind.REACH)
+            assert str(err.value) == "generator entries exceeded 1e+12 at step 7"
+        # 10^13 at step 13, in the second chunk (steps 8 to 23)
+        sys_ = LdtSystem(name="blowup", A=10.0 * np.eye(2), B=np.ones((2, 1)))
+        with pytest.raises(UnstableGrowth, match=r"^generator entries exceeded 1e\+12 at step 13$"):
+            stage_generators(sys_, 30, RegionKind.REACH)
+
+    @pytest.mark.parametrize(
+        "kind, A, step",
+        [(RegionKind.REACH, 2.0, 40), (RegionKind.RECOVER, 0.5, 39)],
+    )
+    def test_unstable_growth_stops_in_its_chunk(self, kind, A, step):
+        # 2^40 > 1e12 >= 2^39: a million-step horizon raises in the chunk of
+        # steps 24 to 55 and allocates nothing for the steps after it
+        sys_ = LdtSystem(name="doubling", A=A * np.eye(2), B=np.ones((2, 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnstableGrowth, match=f"at step {step}$"):
+                stage_generators(sys_, 10**6, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind", list(RegionKind))
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_rows_match_step_by_step(self, rng, kind, r):
+        # the rows are the blocks of one matmul or solve per step, bit for bit
+        q = np.linalg.qr(rng.uniform(-1, 1, (3, 3)))[0]
+        A = q @ np.diag([0.95, -1.0, 1.05]) @ q.T
+        sys_ = LdtSystem(name="modest", A=A, B=rng.uniform(-1, 1, (3, r)))
+        for horizon in (1, 7, 8, 9, 24, 25, 60):
+            rows = stage_generators(sys_, horizon, kind)
+            if kind is RegionKind.REACH:
+                M, step = sys_.B, lambda X: sys_.A @ X
+            else:
+                M, step = np.linalg.solve(sys_.A, sys_.B), lambda X: np.linalg.solve(sys_.A, X)
+            blocks = [M.T]
+            for _ in range(horizon - 1):
+                M = step(M)
+                blocks.append(M.T)
+            want = np.vstack(blocks)
+            assert rows.shape == want.shape == (horizon * r, 3)
+            assert rows.flags.c_contiguous
+            assert rows.tobytes() == want.tobytes()
 
     def test_singular_a_blocks_recover(self):
         sys_ = LdtSystem(name="flat", A=np.zeros((2, 2)), B=np.ones((2, 1)))

@@ -38,13 +38,19 @@ from ctrlgauge import (
 )
 from ctrlgauge.oracle import brute_vertices
 from ctrlgauge.zonotope import (
+    CHUNK_BYTES,
     MAX_PATTERN_ROWS,
     MAX_VOLUME_SUBSETS,
+    TIE_TOL,
     _cells,
     _count_size,
+    _det_sums,
     _facet_normals,
+    _flat_det_bound,
     _prefix_counts,
+    _shape_report,
     _spans,
+    _volume,
 )
 
 
@@ -407,6 +413,118 @@ class TestShapeReport:
             "rank",
         }
         assert "x1,x2" in d["planarShapeFactors"]
+
+
+def _planar_sets(rng, count):
+    """Planar row sets for the fast rank test: flat ones at row scales
+    1e-13 to 1e12, flat ones with rounding-level noise, zero columns, rows
+    under the absolute 1e-12 floor, rows scaled 1e-13 to 1e12 one by one,
+    near-parallel rows, and single rows."""
+    for t in range(count):
+        m = 1 if t % 8 == 7 else int(rng.integers(2, 10))
+        rows = rng.uniform(-1.0, 1.0, (m, 2))
+        kind = t % 8
+        if kind == 0:
+            rows = np.outer(rng.uniform(-2, 2, m), rng.uniform(-1, 1, 2))
+            rows *= 10.0 ** rng.uniform(-13, 12)
+        elif kind == 1:
+            rows = np.outer(rng.uniform(-2, 2, m), rng.uniform(-1, 1, 2))
+            rows += 10.0 ** rng.uniform(-16, -9) * rng.uniform(-1, 1, (m, 2))
+        elif kind == 2:
+            rows[:, rng.integers(2)] = 0.0
+        elif kind == 3:
+            rows *= 10.0 ** rng.uniform(-14, -11)
+        elif kind == 4:
+            rows *= 10.0 ** rng.uniform(-13, 12, (m, 1))
+        elif kind == 5:
+            rows = rows[:1] + 10.0 ** rng.uniform(-16, -8, (m, 1)) * rng.uniform(-1, 1, (m, 2))
+        elif kind == 6:
+            rows[rng.random(m) < 0.5] *= 1e-13
+        yield rows
+
+
+class TestPlanarPass:
+    """Every plane's area from one determinant pass (_planar_areas)."""
+
+    def test_fast_rank_bound_holds_only_at_rank_two(self, rng):
+        fast = slow = unfloored = 0
+        for rows in _planar_sets(rng, 8000):
+            m = len(rows)
+            pairs = np.array(list(itertools.combinations(range(m), 2))).reshape(-1, 2)
+            peak = np.abs(np.linalg.det(rows[pairs])).max() if m > 1 else 0.0
+            top = np.sqrt((rows * rows).sum(axis=1)).max()
+            rank = _spans(rows)[2][-1]
+            # the pass reads bucket means, which never exceed the largest |det|
+            sums = _det_sums(rows)
+            assert (sums[1:] / np.arange(1, m)).max(initial=0.0) <= peak
+            if peak > _flat_det_bound(top):
+                assert rank == 2, rows
+                fast += 1
+            elif rank == 2:
+                slow += 1
+            unfloored += rank < 2 and peak > 4.0 * TIE_TOL * top * top
+        # both branches ran, and the max(1, top) floor was needed
+        assert fast > 2000 and slow > 100 and unfloored > 100
+
+    def test_planar_factors_are_each_projections_volume(self, rng):
+        sets = [
+            rng.uniform(-1, 1, (int(rng.integers(1, 12)), int(rng.integers(3, 6))))
+            * 10.0 ** rng.uniform(-13, 12, (1, 1))
+            for _ in range(150)
+        ]
+        # the planar kinds of the rank test in the first two columns
+        for gens, cols in zip(sets[:60], _planar_sets(rng, 60)):
+            k = min(len(cols), len(gens))
+            mixed = gens[:k].copy()
+            mixed[:, :2] = cols[:k]
+            sets.append(mixed)
+        # pair counts past one determinant chunk, and six planes at once
+        sets += [rng.uniform(-1, 1, (300, 3)), rng.uniform(-1, 1, (270, 4))]
+        for gens in sets:
+            z = Zonotope(gens)
+            rank = z.rank()
+            report = _shape_report(gens, rank, 1.0).to_dict()["planarShapeFactors"]
+            half = np.abs(gens).sum(axis=0)
+            for i, j in itertools.combinations(range(gens.shape[1]), 2):
+                denom = 4.0 * half[i] * half[j]
+                want = Zonotope(gens[:, [i, j]]).volume() / denom if denom > 0.0 else 0.0
+                assert repr(report[f"x{i + 1},x{j + 1}"]) == repr(want), (gens.shape, i, j)
+
+    def test_past_the_subset_cap_flat_planes_still_answer(self, rng):
+        # C(2100, 2) = 2 203 950 pairs, past the cap; every projection is flat
+        gens = np.outer(rng.uniform(-1, 1, 2100), [1.0, 2.0, 3.0])
+        assert math.comb(len(gens), 2) > MAX_VOLUME_SUBSETS
+        rep = Zonotope(gens).shape_report()
+        assert rep.volume == 0.0
+        assert list(rep.planar_shape_factors.values()) == [0.0, 0.0, 0.0]
+
+    def test_past_the_subset_cap_a_rank_two_plane_raises(self, rng):
+        gens = rng.uniform(-1, 1, (2100, 2)) @ np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        assert Zonotope(gens).volume() == 0.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyGenerators, match="2203950 generator subsets"):
+                Zonotope(gens).shape_report()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_pass_builds_no_more_than_one_plane(self, rng):
+        # six planes of 79 800 pairs each: three chunks per plane, and the
+        # pass holds one chunk of one plane's matrices at a time
+        gens = rng.uniform(-1, 1, (400, 4))
+        peaks = []
+        for call in (lambda: _volume(np.ascontiguousarray(gens[:, :2]), 2),
+                     lambda: _shape_report(gens, 4, 1.0)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (128 << 10)
+        assert peaks[1] < 2 * CHUNK_BYTES
 
 
 class TestHalfspaces:
