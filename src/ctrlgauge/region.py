@@ -63,10 +63,9 @@ def stage_generators(sys, horizon, kind):
 
     Row block i (size r) holds the columns of A^i B for reach regions and
     of A^-(i+1) B for recover regions, so the first k*r rows generate
-    stage k. Blocks are written in place, in chunks of 8, 16, 32, ...
-    steps (as min_time reads stages); entries beyond GROWTH_LIMIT abort
-    with UnstableGrowth at their first step, checked chunk by chunk, so
-    nothing is allocated past that step's chunk.
+    stage k. Blocks are written in place in chunks of 8, 16, 32, ... steps;
+    entries beyond GROWTH_LIMIT abort with UnstableGrowth at their first
+    step, checked chunk by chunk, so nothing is allocated past that chunk.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise BadRange(f"horizon must be a positive integer, got {horizon!r}")
@@ -81,25 +80,26 @@ def stage_generators(sys, horizon, kind):
         raise ValueError(f"unknown region kind {kind!r}")
     n, r = M.shape
     rows, lo = np.empty((min(horizon, 8), r, n)), 0
-    # a step past an overflowing one is discarded with the chunk that raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+    while True:
+        first, errors = M, []
+        with np.errstate(all="call", call=lambda *err: errors.append(err)):
             for i in range(lo, len(rows)):
                 if i > 0:
                     M = step(M)
                 rows[i] = M.T
-            block = np.abs(rows[lo:])
-            # each step's own maximum decides: one holding a NaN passes
-            if not block.max() <= GROWTH_LIMIT:
-                past = block.max(axis=(1, 2)) > GROWTH_LIMIT
-                if past.any():
+        if errors or not np.abs(rows[lo:]).max() <= GROWTH_LIMIT:
+            M = first  # redone step by step, warning and raising as the caller would
+            for i in range(lo, len(rows)):
+                if i > 0:
+                    M = step(M)
+                if np.abs(M).max() > GROWTH_LIMIT:
                     raise UnstableGrowth(
-                        f"generator entries exceeded {GROWTH_LIMIT:g} at step {lo + past.argmax()}"
+                        f"generator entries exceeded {GROWTH_LIMIT:g} at step {i}"
                     )
-            if len(rows) == horizon:
-                return rows.reshape(-1, n)
-            lo = len(rows)
-            rows = np.concatenate((rows, np.empty((min(horizon, 2 * lo + 8) - lo, r, n))))
+        if len(rows) == horizon:
+            return rows.reshape(-1, n)
+        lo = len(rows)
+        rows = np.concatenate((rows, np.empty((min(horizon, 2 * lo + 8) - lo, r, n))))
 
 
 def _build_family(sys, horizon, kind):
@@ -206,10 +206,9 @@ def region_summary(family):
     Every stage's volume, vertex count and rank come from one pass over
     the final stage's stage-major rows: the volumes from one bucketed
     determinant sum (zonotope._prefix_volumes), the counts by
-    deletion-restriction (zonotope._prefix_counts), the planar shape
-    factors from one determinant pass over every coordinate plane. A
-    count is None only past the count budget; no stage's vertices are
-    enumerated.
+    deletion-restriction (zonotope._prefix_counts), the planar factors from
+    one determinant pass over every plane. A count is None only past the
+    count budget; no stage's vertices are enumerated.
     """
     rows = family.rows
     spans = _spans(rows)

@@ -52,8 +52,7 @@ taking cumulative sums gives every block's volume from the final block's
 subsets; blocks of rank below n read 0. Shape factors come from volumes
 too: the area of a 2-D coordinate projection is the volume of the
 projected generators, so the planar factors share the determinant sum,
-its cap and its flat rule (rank below 2 gives 0). One determinant pass
-takes the row pairs of every coordinate plane at once (_planar_areas).
+its cap and its flat rule (rank below 2 gives 0), all planes in one pass.
 
 Near-ties below TIE_TOL = 1e-12 (relative) are exact ties, above it
 distinct. Where the float restriction ties generators that the full
@@ -220,8 +219,7 @@ class ShapeReport:
 
 
 def _shape_report(G, rank, volume):
-    """Zonotope.shape_report of the generators G of the given rank and volume;
-    the planar areas take one determinant pass over all planes."""
+    """Zonotope.shape_report of the generators G of the given rank and volume."""
     n = G.shape[1]
     half = np.abs(G).sum(axis=0)
     side_lengths = 2.0 * half
@@ -241,37 +239,29 @@ def _shape_report(G, rank, volume):
 
 
 def _planar_areas(G, planes):
-    """Zonotope(G[:, [i, j]]).volume() of each plane (i, j), bit for bit,
-    from one _det_sums pass over all of them. A plane's own _spans pass
-    runs only where no bucket's mean |det|, at most the largest |det|,
-    passes _flat_det_bound. Past MAX_VOLUME_SUBSETS pairs each plane takes
-    its own volume rule: flat planes read 0, one of rank 2 raises."""
-    m = len(G)
-    if not planes or m < 2:  # one row spans no plane
+    """Zonotope(G[:, [i, j]]).volume() of each plane (i, j), bit for bit, from one
+    _det_sums pass. A plane runs its own _spans pass only where no bucket's mean |det|
+    passes _flat_det_bound and some |det| is not 0 (all 0 reads 0 at any rank). Past
+    MAX_VOLUME_SUBSETS pairs each plane takes its own volume rule, flat ones reading 0."""
+    if len(G) < 2 or not planes:  # one row spans no plane
         return [0.0] * len(planes)
     stack = G[:, planes].transpose(1, 0, 2)
-    if math.comb(m, 2) > MAX_VOLUME_SUBSETS:
+    if math.comb(len(G), 2) > MAX_VOLUME_SUBSETS:
         return [_volume(p, _spans(p)[2][-1]) for p in stack]
     sums = _det_sums(stack)
-    means = (sums[:, 1:] / np.arange(1, m)).max(axis=1, initial=0.0)
+    means = (sums[:, 1:] / np.arange(1, len(G))).max(axis=1)
     tops = np.sqrt(np.square(stack).sum(axis=2)).max(axis=1)
     return [
-        4.0 * float(s.sum()) if mean > _flat_det_bound(top) or _spans(p)[2][-1] == 2 else 0.0
-        for p, s, mean, top in zip(stack, sums, means, tops)
+        4.0 * float(s.sum()) if fast or not s.any() or _spans(p)[2][-1] == 2 else 0.0
+        for p, s, fast in zip(stack, sums, means > _flat_det_bound(tops))
     ]
 
 
 def _flat_det_bound(top):
-    """The largest |det| of two rows of norm at most top below rank 2.
-
-    Below rank 2 under the span rule, every row is within t = TIE_TOL *
-    max(1, top) of the first live row's line (of any line, if none is
-    live): a dead row's norm, and a live row's residual off that line, are
-    at most the threshold TIE_TOL * max(1, largest norm so far). So
-    |det(a, b)| <= |a| res(b) + res(a) |b| <= 2 top t; twice that covers
-    the rounding of residuals and determinants.
-    """
-    return 4.0 * TIE_TOL * top * max(1.0, top)
+    """Largest |det| of two rows of norm <= top in a set of rank below 2: each row's residual
+    off one line is at most t = TIE_TOL max(1, top) (the span rule's threshold, a dead row's
+    norm), so |det(a, b)| <= |a| res(b) + res(a) |b| <= 2 top t; doubled for rounding."""
+    return 4.0 * TIE_TOL * top * np.maximum(1.0, top)
 
 
 def polygon_area(poly):
@@ -500,8 +490,7 @@ def _det_sums(G):
     give the volume of every block. Raises TooManyGenerators past
     MAX_VOLUME_SUBSETS subsets, checked before any subset is built; the
     determinants are taken in chunks of about CHUNK_BYTES. A stack
-    (k, m, n) of sets takes as many sets a chunk as fit, and each set's
-    sums are bit for bit its own call's.
+    (k, m, n) of sets gives (k, m) sums, as many whole sets a chunk as fit.
     """
     m, n = G.shape[-2:]
     count = math.comb(m, n)
@@ -510,23 +499,22 @@ def _det_sums(G):
             f"{count} generator subsets exceed the volume cap {MAX_VOLUME_SUBSETS}"
         )
     chunk = max(1, CHUNK_BYTES // (8 * n * n))
+    sets = G if G.ndim == 3 else G[np.newaxis]
+    sums = np.zeros(len(sets) * m)
+    offsets = np.arange(0, len(sums), m)[:, np.newaxis]
     group = max(1, chunk // max(1, count))
-    if G.ndim == 3 and len(G) > group:
-        return np.concatenate([_det_sums(G[lo : lo + group]) for lo in range(0, len(G), group)])
-    sums = np.zeros(G.shape[:-1])
-    subsets = itertools.combinations(range(m), n)
-    for start in range(0, count, chunk):
-        take = min(chunk, count - start)
-        flat = itertools.chain.from_iterable(itertools.islice(subsets, take))
-        idx = np.fromiter(flat, dtype=np.intp, count=take * n).reshape(take, n)
-        dets = np.abs(np.linalg.det(G[..., idx, :]))
-        if G.ndim == 2:
-            sums += np.bincount(idx[:, -1], dets, minlength=m)
-        else:
-            for k in range(len(G)):
-                sums[k] += np.bincount(idx[:, -1], dets[k], minlength=m)
-        del dets  # freed before the next chunk's matrices are built
-    return sums
+    for lo in range(0, len(sets), group):
+        subsets = itertools.combinations(range(m), n)
+        for start in range(0, count, chunk):
+            take = min(chunk, count - start)
+            flat = itertools.chain.from_iterable(itertools.islice(subsets, take))
+            idx = np.fromiter(flat, dtype=np.intp, count=take * n).reshape(take, n)
+            dets = np.abs(np.linalg.det(sets[lo : lo + group, idx])).ravel()
+            # bincount adds each bin's weights in order: each set sums as alone
+            bins = (idx[:, -1] + offsets[lo : lo + group]).ravel()
+            sums += np.bincount(bins, dets, len(sums))
+            del dets, bins  # freed before the next chunk's matrices are built
+    return sums.reshape(G.shape[:-1])
 
 
 def _prefix_volumes(G, dims):

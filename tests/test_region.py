@@ -28,7 +28,24 @@ from ctrlgauge import (
 )
 from ctrlgauge.model import SINGULARITY_TOL
 from ctrlgauge.oracle import SplitMix64
+from ctrlgauge.region import GROWTH_LIMIT
 from ctrlgauge.zonotope import MAX_PATTERN_ROWS, _planar_cells, _spans
+
+
+def _step_by_step(sys_, horizon, kind):
+    """stage_generators as one guarded matmul or solve per step."""
+    if kind is RegionKind.REACH:
+        M, step = sys_.B, lambda X: sys_.A @ X
+    else:
+        M, step = np.linalg.solve(sys_.A, sys_.B), lambda X: np.linalg.solve(sys_.A, X)
+    blocks = []
+    for i in range(horizon):
+        if i > 0:
+            M = step(M)
+        if np.abs(M).max() > GROWTH_LIMIT:
+            raise UnstableGrowth(f"generator entries exceeded {GROWTH_LIMIT:g} at step {i}")
+        blocks.append(M.T)
+    return np.vstack(blocks)
 
 
 def _chain(n):
@@ -105,18 +122,46 @@ class TestStageGenerators:
         sys_ = LdtSystem(name="modest", A=A, B=rng.uniform(-1, 1, (3, r)))
         for horizon in (1, 7, 8, 9, 24, 25, 60):
             rows = stage_generators(sys_, horizon, kind)
-            if kind is RegionKind.REACH:
-                M, step = sys_.B, lambda X: sys_.A @ X
-            else:
-                M, step = np.linalg.solve(sys_.A, sys_.B), lambda X: np.linalg.solve(sys_.A, X)
-            blocks = [M.T]
-            for _ in range(horizon - 1):
-                M = step(M)
-                blocks.append(M.T)
-            want = np.vstack(blocks)
+            want = _step_by_step(sys_, horizon, kind)
             assert rows.shape == want.shape == (horizon * r, 3)
             assert rows.flags.c_contiguous
             assert rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "A, B, kind",
+        [
+            # step 1 overflows the matmul to inf and raises
+            ([[1e300, -1e300], [0.0, 1.0]], [[1e10], [1e10]], RegionKind.REACH),
+            # every step holds a NaN (inf - inf in the triangular solve),
+            # which the guard lets pass
+            ([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-3]], [[0.0], [0.0], [1e306]],
+             RegionKind.RECOVER),
+            # step 2 passes 1e12 in the second row of the first chunk
+            ([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.5]], [[0.0], [0.0], [1e11]],
+             RegionKind.RECOVER),
+            # the second entry underflows at step 3, the first passes 1e12
+            # at step 7
+            ([[100.0, 0.0], [0.0, 1e-100]], [[1.0], [1e-10]], RegionKind.REACH),
+            # the same underflow in a chunk that stays within the limit
+            ([[0.5, 0.0], [0.0, 1e-100]], [[1.0], [1e-10]], RegionKind.REACH),
+        ],
+    )
+    @pytest.mark.parametrize("err", ["ignore", "warn", "raise"])
+    def test_warnings_and_errors_match_step_by_step(self, A, B, kind, err):
+        # the chunk's later steps are never seen: the same floating-point
+        # warnings, errors and rows as one guarded step at a time
+        sys_ = LdtSystem(name="overflow", A=A, B=B)
+        outcomes = []
+        for build in (stage_generators, _step_by_step):
+            with warnings.catch_warnings(record=True) as seen, np.errstate(all=err):
+                warnings.simplefilter("always")
+                try:
+                    got = build(sys_, 12, kind).tobytes()
+                except (UnstableGrowth, FloatingPointError) as exc:
+                    got = repr(exc)
+            outcomes.append((got, [str(w.message) for w in seen]))
+        assert outcomes[0] == outcomes[1]
+
 
     def test_singular_a_blocks_recover(self):
         sys_ = LdtSystem(name="flat", A=np.zeros((2, 2)), B=np.ones((2, 1)))

@@ -36,6 +36,7 @@ from ctrlgauge import (
     stage_generators,
     svg_document,
 )
+from ctrlgauge import zonotope
 from ctrlgauge.oracle import brute_vertices
 from ctrlgauge.zonotope import (
     CHUNK_BYTES,
@@ -489,6 +490,32 @@ class TestPlanarPass:
                 denom = 4.0 * half[i] * half[j]
                 want = Zonotope(gens[:, [i, j]]).volume() / denom if denom > 0.0 else 0.0
                 assert repr(report[f"x{i + 1},x{j + 1}"]) == repr(want), (gens.shape, i, j)
+
+    def test_a_stack_sums_each_set_as_alone(self, rng):
+        # many sets to one determinant call below one chunk, one set over
+        # several chunks past it
+        for k, m in ((40, 9), (3, 300)):
+            stack = rng.uniform(-1, 1, (k, m, 2)) * 10.0 ** rng.uniform(-6, 6, (k, 1, 1))
+            sums = _det_sums(stack)
+            assert sums.shape == (k, m)
+            pairs = np.array(list(itertools.combinations(range(m), 2)))
+            for got, rows in zip(sums, stack):
+                assert got.tobytes() == _det_sums(rows).tobytes()
+                want = np.bincount(pairs[:, 1], np.abs(np.linalg.det(rows[pairs])), m)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_planes_without_a_determinant_run_no_span_pass(self, monkeypatch):
+        calls = []
+        spans = zonotope._spans
+        monkeypatch.setattr(zonotope, "_spans", lambda G: calls.append(G.shape) or spans(G))
+        one_row = np.array([[1.0, -2.0, 3.0, 0.5]])
+        parallel = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [-1.0, -2.0, -3.0]])
+        for gens in (one_row, parallel):
+            assert all(f == 0.0 for f in _shape_report(gens, 1, 0.0).planar_shape_factors.values())
+        assert calls == []
+        # determinants at rounding level still need the span rule's answer
+        _shape_report(parallel + [[0.0, 0.0, 1e-15], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 1, 0.0)
+        assert calls == [(3, 2), (3, 2)]
 
     def test_past_the_subset_cap_flat_planes_still_answer(self, rng):
         # C(2100, 2) = 2 203 950 pairs, past the cap; every projection is flat
