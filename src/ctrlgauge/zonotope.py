@@ -219,7 +219,8 @@ class ShapeReport:
 
 
 def _shape_report(G, rank, volume):
-    """Zonotope.shape_report of the generators G of the given rank and volume."""
+    """Zonotope.shape_report of the generators G of the given rank and volume;
+    the planar areas take one determinant pass over all planes (_planar_areas)."""
     n = G.shape[1]
     half = np.abs(G).sum(axis=0)
     side_lengths = 2.0 * half
@@ -239,10 +240,11 @@ def _shape_report(G, rank, volume):
 
 
 def _planar_areas(G, planes):
-    """Zonotope(G[:, [i, j]]).volume() of each plane (i, j), bit for bit, from one
-    _det_sums pass. A plane runs its own _spans pass only where no bucket's mean |det|
-    passes _flat_det_bound and some |det| is not 0 (all 0 reads 0 at any rank). Past
-    MAX_VOLUME_SUBSETS pairs each plane takes its own volume rule, flat ones reading 0."""
+    """Zonotope(G[:, [i, j]]).volume() of each plane (i, j), bit for bit,
+    from one _det_sums pass. A plane runs its own _spans pass only where no
+    bucket's mean |det| passes _flat_det_bound and some |det| is not 0 (all
+    0 reads 0 at any rank). Past MAX_VOLUME_SUBSETS pairs each plane takes
+    its own volume rule: flat planes read 0, one of rank 2 raises."""
     if len(G) < 2 or not planes:  # one row spans no plane
         return [0.0] * len(planes)
     stack = G[:, planes].transpose(1, 0, 2)
@@ -258,9 +260,15 @@ def _planar_areas(G, planes):
 
 
 def _flat_det_bound(top):
-    """Largest |det| of two rows of norm <= top in a set of rank below 2: each row's residual
-    off one line is at most t = TIE_TOL max(1, top) (the span rule's threshold, a dead row's
-    norm), so |det(a, b)| <= |a| res(b) + res(a) |b| <= 2 top t; doubled for rounding."""
+    """The largest |det| of two rows of norm at most top below rank 2.
+
+    Below rank 2 under the span rule, every row is within t = TIE_TOL *
+    max(1, top) of one line: a dead row's norm, and a live row's residual
+    off the first live row's line, are at most the threshold TIE_TOL *
+    max(1, largest norm so far). So |det(a, b)| <= |a| res(b) + res(a) |b|
+    <= 2 top t; twice that covers the rounding of residuals and
+    determinants.
+    """
     return 4.0 * TIE_TOL * top * np.maximum(1.0, top)
 
 
@@ -510,7 +518,8 @@ def _det_sums(G):
             flat = itertools.chain.from_iterable(itertools.islice(subsets, take))
             idx = np.fromiter(flat, dtype=np.intp, count=take * n).reshape(take, n)
             dets = np.abs(np.linalg.det(sets[lo : lo + group, idx])).ravel()
-            # bincount adds each bin's weights in order: each set sums as alone
+            # bincount adds each bin's weights in input order: every set's
+            # sums are those of its own call
             bins = (idx[:, -1] + offsets[lo : lo + group]).ravel()
             sums += np.bincount(bins, dets, len(sums))
             del dets, bins  # freed before the next chunk's matrices are built
