@@ -29,7 +29,7 @@ from .errors import (
 )
 
 _HARD_BIT_CAP = 24
-_CHUNK = 1 << 14  # samples per pass; its (samples x normals) arrays stay in cache
+_CHUNK = 1 << 14  # samples per pass: one contiguous row of products per normal
 
 # SplitMix64 constants: the Weyl increment and the two finalizer multipliers.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -326,10 +326,9 @@ def mc_volume(z, cfg=None):
         pts = (2.0 * rng.uniforms(take * n) - 1.0).reshape(take, n)
         for k in range(n):  # column by column: long loops, not one per sample
             pts[:, k] *= half[k]
-        dots = pts @ normals.T
+        dots = normals @ pts.T
         np.abs(dots, out=dots)
-        # one contiguous row per normal, so the AND over normals runs along rows
-        below = np.ascontiguousarray((dots <= offsets).T)
+        below = dots <= offsets[:, np.newaxis]
         hits += int(np.count_nonzero(np.logical_and.reduce(below, axis=0)))
         done += take
     rate = hits / total

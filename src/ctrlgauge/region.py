@@ -64,8 +64,9 @@ def stage_generators(sys, horizon, kind):
     Row block i (size r) holds the columns of A^i B for reach regions and
     of A^-(i+1) B for recover regions, so the first k*r rows generate
     stage k. Blocks are written in place in chunks of 8, 16, 32, ... steps;
-    entries beyond GROWTH_LIMIT abort with UnstableGrowth at their first
-    step, checked chunk by chunk, so nothing is allocated past that chunk.
+    entries beyond GROWTH_LIMIT, or not finite, abort with UnstableGrowth at
+    their first step, checked chunk by chunk, so nothing is allocated past
+    that chunk.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise BadRange(f"horizon must be a positive integer, got {horizon!r}")
@@ -92,7 +93,7 @@ def stage_generators(sys, horizon, kind):
             for i in range(lo, len(rows)):
                 if i > 0:
                     M = step(M)
-                if np.abs(M).max() > GROWTH_LIMIT:
+                if not np.abs(M).max() <= GROWTH_LIMIT:
                     raise UnstableGrowth(
                         f"generator entries exceeded {GROWTH_LIMIT:g} at step {i}"
                     )

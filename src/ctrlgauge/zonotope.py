@@ -68,7 +68,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -497,7 +497,8 @@ def _det_sums(G):
     belongs to every leading block G[:p] with p > j, so cumulative sums
     give the volume of every block. Raises TooManyGenerators past
     MAX_VOLUME_SUBSETS subsets, checked before any subset is built; the
-    determinants are taken in chunks of about CHUNK_BYTES. A stack
+    determinants are taken in chunks of about CHUNK_BYTES, and a subset
+    table that fits in one chunk is built once per (m, n). A stack
     (k, m, n) of sets gives (k, m) sums, as many whole sets a chunk as fit.
     """
     m, n = G.shape[-2:]
@@ -515,8 +516,10 @@ def _det_sums(G):
         subsets = itertools.combinations(range(m), n)
         for start in range(0, count, chunk):
             take = min(chunk, count - start)
-            flat = itertools.chain.from_iterable(itertools.islice(subsets, take))
-            idx = np.fromiter(flat, dtype=np.intp, count=take * n).reshape(take, n)
+            if take == count:
+                idx = _subset_table(m, n)
+            else:
+                idx = _subset_rows(subsets, take, n)
             dets = np.abs(np.linalg.det(sets[lo : lo + group, idx])).ravel()
             # bincount adds each bin's weights in input order: every set's
             # sums are those of its own call
@@ -524,6 +527,21 @@ def _det_sums(G):
             sums += np.bincount(bins, dets, len(sums))
             del dets, bins  # freed before the next chunk's matrices are built
     return sums.reshape(G.shape[:-1])
+
+
+def _subset_rows(subsets, take, n):
+    """The next take n-subsets of the iterator as rows of indices."""
+    flat = itertools.chain.from_iterable(itertools.islice(subsets, take))
+    return np.fromiter(flat, dtype=np.intp, count=take * n).reshape(take, n)
+
+
+@lru_cache(maxsize=64)
+def _subset_table(m, n):
+    """Every n-subset of range(m) in combinations order, read-only; for
+    _det_sums, which builds it only when it fits in one chunk."""
+    table = _subset_rows(itertools.combinations(range(m), n), math.comb(m, n), n)
+    table.flags.writeable = False
+    return table
 
 
 def _prefix_volumes(G, dims):

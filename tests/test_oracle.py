@@ -249,6 +249,23 @@ class TestMcVolume:
         res = mc_volume(np.array(gens), OracleConfig(mc_samples=samples, seed=seed))
         assert res.hit_rate == hits / samples
 
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hits_are_an_independent_count(self, n, chunks):
+        # the whole sample stream at once, one row per sample, against the
+        # oracle's own half-spaces; the odd remainder leaves a short chunk
+        gens = np.random.default_rng(100 * n + chunks).uniform(-1, 1, (n + 3, n))
+        cases = [gens, np.diag(np.arange(1.0, n + 1.0))]  # the last is its own box
+        samples = (chunks - 1) * oracle._CHUNK + 1237
+        for rows in cases:
+            res = mc_volume(rows, OracleConfig(mc_samples=samples, seed=chunks))
+            pts = 2.0 * SplitMix64(chunks).uniforms(samples * n) - 1.0
+            pts = pts.reshape(samples, n) * np.abs(rows).sum(axis=0)
+            normals, offsets = oracle._oracle_halfspaces(rows)
+            hits = (np.abs(pts @ normals.T) <= offsets).all(axis=1).sum()
+            assert res.hit_rate == hits / samples
+        assert res.hit_rate == 1.0
+
     def test_flat_rejected(self):
         with pytest.raises(DegenerateZonotope):
             mc_volume(Zonotope([[1.0, 1.0], [2.0, 2.0]]), OracleConfig(mc_samples=1000))

@@ -42,7 +42,7 @@ def _step_by_step(sys_, horizon, kind):
     for i in range(horizon):
         if i > 0:
             M = step(M)
-        if np.abs(M).max() > GROWTH_LIMIT:
+        if not np.abs(M).max() <= GROWTH_LIMIT:
             raise UnstableGrowth(f"generator entries exceeded {GROWTH_LIMIT:g} at step {i}")
         blocks.append(M.T)
     return np.vstack(blocks)
@@ -96,6 +96,14 @@ class TestStageGenerators:
         with pytest.raises(UnstableGrowth, match=r"^generator entries exceeded 1e\+12 at step 13$"):
             stage_generators(sys_, 30, RegionKind.REACH)
 
+    def test_non_finite_entries_stop_the_build(self):
+        # A^-1 B overflows to inf in the triangular solve and inf - inf
+        # gives a NaN at step 0, which no comparison with the limit passes
+        sys_ = LdtSystem(name="nan", A=[[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-3]],
+                         B=[[0.0], [0.0], [1e306]])
+        with pytest.raises(UnstableGrowth, match="at step 0$"):
+            recover_region(sys_, 12)
+
     @pytest.mark.parametrize(
         "kind, A, step",
         [(RegionKind.REACH, 2.0, 40), (RegionKind.RECOVER, 0.5, 39)],
@@ -132,8 +140,8 @@ class TestStageGenerators:
         [
             # step 1 overflows the matmul to inf and raises
             ([[1e300, -1e300], [0.0, 1.0]], [[1e10], [1e10]], RegionKind.REACH),
-            # every step holds a NaN (inf - inf in the triangular solve),
-            # which the guard lets pass
+            # step 0 holds a NaN (inf - inf in the triangular solve), which
+            # the guard rejects there
             ([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-3]], [[0.0], [0.0], [1e306]],
              RegionKind.RECOVER),
             # step 2 passes 1e12 in the second row of the first chunk

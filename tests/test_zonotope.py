@@ -280,6 +280,25 @@ class TestVolume:
         want = 8.0 * np.abs(np.linalg.det(gens[subsets])).sum()
         assert Zonotope(gens).volume() == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("m, n", [(9, 1), (12, 2), (10, 3)])
+    def test_cached_subset_table_sums_as_the_streamed_one(self, rng, monkeypatch, m, n):
+        # a count within one chunk reads the table built once per (m, n):
+        # on float rows its sums are those of the subsets in combinations
+        # order, bit for bit
+        G = rng.uniform(-1, 1, (m, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+        subsets = np.array(list(itertools.combinations(range(m), n)))
+        want = np.bincount(subsets[:, -1], np.abs(np.linalg.det(G[subsets])), m)
+        assert _det_sums(G).tobytes() == want.tobytes()
+        table = zonotope._subset_table(m, n)
+        assert zonotope._subset_table(m, n) is table and not table.flags.writeable
+        # entries in {-1, 0, 1} make every determinant and sum exact up to
+        # n = 3, so three subsets a chunk, streamed, must give the same bits
+        ints = rng.integers(-1, 2, (m, n)).astype(float)
+        cached = _det_sums(ints)
+        monkeypatch.setattr(zonotope, "CHUNK_BYTES", 3 * 8 * n * n)
+        assert _det_sums(ints).tobytes() == cached.tobytes()
+        assert cached.any()
+
 
 def _projection_cases(rng):
     """Generator sets in R^3 whose 2-D projections cover random, parallel
