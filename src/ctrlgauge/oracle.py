@@ -8,7 +8,11 @@ None of it reuses the geometry routines under test.
 
 Randomness comes from a counter-based SplitMix64 stream so every draw is
 reproducible from (seed, index) alone, independent of numpy's generator
-internals and of chunk sizes.
+internals and of chunk sizes. A Monte Carlo hit count is fixed by the draws
+only up to BLAS rounding: the last bit of a sample's product with a normal
+depends on the kernel that the chunk's shape and the BLAS build select, so
+a sample within one rounding step of a facet may count differently under
+another _CHUNK or BLAS.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ the block, and a stage's Zonotope is built only when stage(k) asks for it.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     SingularA,
     UnstableGrowth,
 )
-from .model import _invertible
+from .model import _invertible, _solve
 from .zonotope import Zonotope, _prefix_counts, _prefix_volumes, _shape_report, _spans
 
 GROWTH_LIMIT = 1e12
@@ -66,17 +67,23 @@ def stage_generators(sys, horizon, kind):
     stage k. Blocks are written in place in chunks of 8, 16, 32, ... steps;
     entries beyond GROWTH_LIMIT, or not finite, abort with UnstableGrowth at
     their first step, checked chunk by chunk, so nothing is allocated past
-    that chunk.
+    that chunk. A recover chunk steps with the bare LAPACK solve
+    (model._solve), whose floating-point flags reach the chunk's error
+    state; any flag sends the chunk to the step-by-step redo, which keeps
+    np.linalg.solve so that it warns and raises as the caller would, and
+    whose rows are the same bits.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise BadRange(f"horizon must be a positive integer, got {horizon!r}")
     A = sys.A
     if kind is RegionKind.REACH:
         M, step = sys.B, lambda X: A @ X
+        fast = step
     elif kind is RegionKind.RECOVER:
         if not _invertible(A)[0]:
             raise SingularA("state matrix is singular; recover regions undefined")
         M, step = np.linalg.solve(A, sys.B), lambda X: np.linalg.solve(A, X)
+        fast = functools.partial(_solve, A)
     else:
         raise ValueError(f"unknown region kind {kind!r}")
     n, r = M.shape
@@ -86,7 +93,7 @@ def stage_generators(sys, horizon, kind):
         with np.errstate(all="call", call=lambda *err: errors.append(err)):
             for i in range(lo, len(rows)):
                 if i > 0:
-                    M = step(M)
+                    M = fast(M)
                 rows[i] = M.T
         if errors or not np.abs(rows[lo:]).max() <= GROWTH_LIMIT:
             M = first  # redone step by step, warning and raising as the caller would

@@ -254,8 +254,10 @@ def _planar_areas(G, planes):
     means = (sums[:, 1:] / np.arange(1, len(G))).max(axis=1)
     tops = np.sqrt(np.square(stack).sum(axis=2)).max(axis=1)
     return [
-        4.0 * float(s.sum()) if fast or not s.any() or _spans(p)[2][-1] == 2 else 0.0
-        for p, s, fast in zip(stack, sums, means > _flat_det_bound(tops))
+        4.0 * float(t) if fast or not s.any() or _spans(p)[2][-1] == 2 else 0.0
+        for p, s, t, fast in zip(
+            stack, sums, np.cumsum(sums, axis=1)[:, -1], means > _flat_det_bound(tops)
+        )
     ]
 
 
@@ -483,11 +485,14 @@ def _cells(P, mask):
 
 
 def _volume(G, rank):
-    """2^n times the sum of |det| over G's n-subsets; 0.0 below rank n."""
+    """2^n times the sum of |det| over G's n-subsets; 0.0 below rank n.
+
+    The buckets are added in order, as _prefix_volumes adds them, so a
+    stage has one volume whichever route asks for it."""
     n = G.shape[1]
     if rank < n:
         return 0.0
-    return 2.0**n * float(_det_sums(G).sum())
+    return 2.0**n * float(np.cumsum(_det_sums(G))[-1])
 
 
 def _det_sums(G):

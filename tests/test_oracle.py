@@ -244,8 +244,10 @@ class TestMcVolume:
         ids=["n2", "n3", "n4"],
     )
     def test_pinned_hit_counts(self, gens, samples, seed, hits):
-        # the counts fix the SplitMix64 stream and the rounding of each
-        # sample's products with the normals
+        # the counts fix the SplitMix64 stream; each sample's products with
+        # the normals are fixed only up to the BLAS kernel's rounding, so a
+        # count could move with _CHUNK or the BLAS build, for a sample
+        # within one rounding step of a facet
         res = mc_volume(np.array(gens), OracleConfig(mc_samples=samples, seed=seed))
         assert res.hit_rate == hits / samples
 

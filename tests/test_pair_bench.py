@@ -11,6 +11,7 @@ pair_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pair_bench)
 
 BETTER = {"throughput_ops_per_s": "higher", "latency_p50_ms": "lower"}
+BOUNDS = {"throughput_ops_per_s": 0.25, "latency_p50_ms": 0.25}
 
 
 def _run(ops, p50, correct=True, failed=0, extra=None):
@@ -21,8 +22,8 @@ def _run(ops, p50, correct=True, failed=0, extra=None):
     return {"correct": correct, "attempted": 100, "failed": failed, "metrics": metrics}
 
 
-def _rows(parent, change):
-    return {r["metric"]: r for r in pair_bench.summarise(parent, change, BETTER)}
+def _rows(parent, change, bounds=None):
+    return {r["metric"]: r for r in pair_bench.summarise(parent, change, BETTER, bounds)}
 
 
 def test_quartiles_and_wins_with_ties_for_neither():
@@ -69,3 +70,38 @@ def test_wrong_answers_and_failures_are_flagged():
         "change run 1: correct=False failed=0",
         "change run 2: correct=True failed=2",
     ]
+
+
+def test_worse_by_more_than_the_bound_reads_yes():
+    parent = [_run(100, v) for v in (1.0, 1.01, 1.02, 1.03)]
+    # p50 medians 1.015 -> 1.30: 28 % worse against a 25 % bound
+    change = [_run(100, v) for v in (1.29, 1.30, 1.30, 1.31)]
+    rows = _rows(parent, change, BOUNDS)
+    assert rows["latency_p50_ms"]["worse"] == "yes"
+    assert rows["throughput_ops_per_s"]["worse"] == "no"
+    assert pair_bench.format_rows(list(rows.values()), 4).splitlines()[2].endswith("yes")
+
+
+def test_worse_within_the_bound_reads_no():
+    parent = [_run(100, v) for v in (1.0, 1.01, 1.02, 1.03)]
+    # 20 % worse, within the 25 % bound, and the parent's spread is narrow
+    change = [_run(100, 1.218) for _ in range(4)]
+    assert _rows(parent, change, BOUNDS)["latency_p50_ms"]["worse"] == "no"
+
+
+def test_a_spread_wider_than_the_bound_reads_unresolved():
+    # parent quartiles 80 and 120 around 100: a spread of 40 % of the median
+    parent = [_run(v, 1.0) for v in (60, 80, 100, 100, 120, 140)]
+    change = [_run(v, 1.0) for v in (95, 95, 95, 95, 95, 95)]
+    ops = _rows(parent, change, BOUNDS)["throughput_ops_per_s"]
+    assert ops["worse"] == "unresolved"
+    assert pair_bench.format_rows([ops], 6).splitlines()[1].endswith("unresolved")
+    # unless every change run reads better than every parent run
+    change = [_run(150, 1.0) for _ in range(6)]
+    assert _rows(parent, change, BOUNDS)["throughput_ops_per_s"]["worse"] == "no"
+
+
+def test_a_metric_without_a_bound_gets_no_worse_verdict():
+    rows = _rows([_run(1, 1)], [_run(2, 1)], {"latency_p50_ms": 0.25})
+    assert rows["throughput_ops_per_s"]["worse"] is None
+    assert rows["latency_p50_ms"]["worse"] == "no"

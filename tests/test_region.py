@@ -1,6 +1,7 @@
 """Tests for stage-indexed controllability region families."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -26,10 +27,11 @@ from ctrlgauge import (
     stage_generators,
     validate,
 )
+from ctrlgauge import region
 from ctrlgauge.model import SINGULARITY_TOL
 from ctrlgauge.oracle import SplitMix64
 from ctrlgauge.region import GROWTH_LIMIT
-from ctrlgauge.zonotope import MAX_PATTERN_ROWS, _planar_cells, _spans
+from ctrlgauge.zonotope import CHUNK_BYTES, MAX_PATTERN_ROWS, _planar_cells, _spans
 
 
 def _step_by_step(sys_, horizon, kind):
@@ -46,6 +48,24 @@ def _step_by_step(sys_, horizon, kind):
             raise UnstableGrowth(f"generator entries exceeded {GROWTH_LIMIT:g} at step {i}")
         blocks.append(M.T)
     return np.vstack(blocks)
+
+
+def _scaled_chains():
+    """200 systems of default_rng(0), n = 2-5, r = 1-3, entries uniform in
+    [-1, 1] with each row of A and B scaled by 10^U(-2, 2)."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n, r = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-2, 2, (n, 1))
+        A, B = scale * rng.uniform(-1, 1, (n, n)), scale * rng.uniform(-1, 1, (n, r))
+        yield LdtSystem(name="scaled", A=A, B=B)
+
+
+def _rows_or_error(build, sys_, horizon, kind):
+    try:
+        return build(sys_, horizon, kind).tobytes()
+    except UnstableGrowth as exc:
+        return repr(exc)
 
 
 def _chain(n):
@@ -122,18 +142,27 @@ class TestStageGenerators:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("kind", list(RegionKind))
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_rows_match_step_by_step(self, rng, kind, r):
-        # the rows are the blocks of one matmul or solve per step, bit for bit
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_rows_match_step_by_step(self, rng, monkeypatch, kind, r):
+        # the rows are the blocks of one matmul or solve per step, bit for
+        # bit, or the same UnstableGrowth, with the bare LAPACK solve in the
+        # fast loop and with np.linalg.solve in its place
         q = np.linalg.qr(rng.uniform(-1, 1, (3, 3)))[0]
         A = q @ np.diag([0.95, -1.0, 1.05]) @ q.T
         sys_ = LdtSystem(name="modest", A=A, B=rng.uniform(-1, 1, (3, r)))
-        for horizon in (1, 7, 8, 9, 24, 25, 60):
-            rows = stage_generators(sys_, horizon, kind)
-            want = _step_by_step(sys_, horizon, kind)
-            assert rows.shape == want.shape == (horizon * r, 3)
-            assert rows.flags.c_contiguous
-            assert rows.tobytes() == want.tobytes()
+        chains = [chain for chain in _scaled_chains() if chain.r == r]
+        for solve in (region._solve, np.linalg.solve):
+            monkeypatch.setattr(region, "_solve", solve)
+            for horizon in (1, 7, 8, 9, 24, 25, 60):
+                rows = stage_generators(sys_, horizon, kind)
+                want = _step_by_step(sys_, horizon, kind)
+                assert rows.shape == want.shape == (horizon * r, 3)
+                assert rows.flags.c_contiguous
+                assert rows.tobytes() == want.tobytes()
+            for chain in chains:
+                got, want = (_rows_or_error(build, chain, 12, kind)
+                             for build in (stage_generators, _step_by_step))
+                assert got == want, (solve, chain.A.tolist(), chain.B.tolist())
 
     @pytest.mark.parametrize(
         "A, B, kind",
@@ -485,6 +514,9 @@ class TestOnePassSummary:
                         assert variant == "scan"
                         continue
                     info = region_summary(fam)
+                    # the final stage's subsets fit one _det_sums chunk, so
+                    # every stage's |det| buckets are added in one order
+                    assert math.comb(len(fam.rows), n) <= CHUNK_BYTES // (8 * n * n)
                     for k in range(1, horizon + 1):
                         z = fam.stage(k)
                         tag = (variant, n, sys_.r, builder.__name__, k)
@@ -493,15 +525,11 @@ class TestOnePassSummary:
                         if z.rank() < n:
                             assert vol == 0.0, tag
                         else:
-                            assert vol == pytest.approx(want, rel=1e-12, abs=0.0), tag
+                            assert vol == want, tag
                     report = fam.stage(horizon).shape_report()
                     assert info["rank"] == report.rank
-                    assert info["shapeFactors"]["overall"] == pytest.approx(
-                        report.overall_shape_factor, rel=1e-12, abs=0.0
-                    )
-                    assert info["shapeFactors"]["planar"] == pytest.approx(
-                        report.to_dict()["planarShapeFactors"], rel=1e-12, abs=0.0
-                    )
+                    assert info["shapeFactors"]["overall"] == report.overall_shape_factor
+                    assert info["shapeFactors"]["planar"] == report.to_dict()["planarShapeFactors"]
 
     def test_vertices_6_tie_stage(self):
         # verification_suite's vertices-6 case at suite seed 18106: a 5-step
