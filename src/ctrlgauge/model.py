@@ -8,7 +8,6 @@ assume unit input boxes and dimensionless states.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -18,19 +17,6 @@ from .errors import DimensionMismatch, MissingTarget, NonPositiveBound
 
 # |det A| relative to the product of row norms below this flags A singular.
 SINGULARITY_TOL = 1e-12
-
-# The LAPACK gufuncs (dgesv, dgetrf) that np.linalg.solve and det wrap, for
-# float64 operands, without the wrappers' Python work: the same routines on
-# the same inputs give the same bits. The bare solve flags a singular matrix
-# as an invalid value under the caller's error state, where np.linalg.solve
-# raises LinAlgError; np.linalg serves where numpy lacks the gufuncs.
-try:
-    from numpy.linalg import _umath_linalg
-
-    _solve = functools.partial(_umath_linalg.solve, signature="dd->d")
-    _det = functools.partial(_umath_linalg.det, signature="d->d")
-except (ImportError, AttributeError):
-    _solve, _det = np.linalg.solve, np.linalg.det
 
 
 def _as_matrix(value, name):
@@ -125,7 +111,7 @@ def _invertible(A):
     SINGULARITY_TOL.
     """
     scale = float(np.prod(np.linalg.norm(A, axis=1)))
-    rel = 0.0 if scale == 0.0 else float(abs(_det(A)) / scale)
+    rel = 0.0 if scale == 0.0 else float(abs(np.linalg.det(A)) / scale)
     return rel >= SINGULARITY_TOL, rel
 
 

@@ -16,6 +16,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import _report
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     SingularA,
     UnstableGrowth,
 )
-from .model import _invertible, _solve
+from .model import _invertible
 from .zonotope import Zonotope, _prefix_counts, _prefix_volumes, _shape_report, _spans
 
 GROWTH_LIMIT = 1e12
@@ -67,23 +68,20 @@ def stage_generators(sys, horizon, kind):
     stage k. Blocks are written in place in chunks of 8, 16, 32, ... steps;
     entries beyond GROWTH_LIMIT, or not finite, abort with UnstableGrowth at
     their first step, checked chunk by chunk, so nothing is allocated past
-    that chunk. A recover chunk steps with the bare LAPACK solve
-    (model._solve), whose floating-point flags reach the chunk's error
-    state; any flag sends the chunk to the step-by-step redo, which keeps
-    np.linalg.solve so that it warns and raises as the caller would, and
-    whose rows are the same bits.
+    that chunk. A recover step is the dgesv gufunc that np.linalg.solve
+    wraps, without the wrapper; it flags only a singular A, which
+    _invertible has refused, so its rows and warnings are np.linalg.solve's.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise BadRange(f"horizon must be a positive integer, got {horizon!r}")
     A = sys.A
     if kind is RegionKind.REACH:
         M, step = sys.B, lambda X: A @ X
-        fast = step
     elif kind is RegionKind.RECOVER:
         if not _invertible(A)[0]:
             raise SingularA("state matrix is singular; recover regions undefined")
-        M, step = np.linalg.solve(A, sys.B), lambda X: np.linalg.solve(A, X)
-        fast = functools.partial(_solve, A)
+        step = functools.partial(_umath_linalg.solve, A, signature="dd->d")
+        M = step(sys.B)
     else:
         raise ValueError(f"unknown region kind {kind!r}")
     n, r = M.shape
@@ -93,7 +91,7 @@ def stage_generators(sys, horizon, kind):
         with np.errstate(all="call", call=lambda *err: errors.append(err)):
             for i in range(lo, len(rows)):
                 if i > 0:
-                    M = fast(M)
+                    M = step(M)
                 rows[i] = M.T
         if errors or not np.abs(rows[lo:]).max() <= GROWTH_LIMIT:
             M = first  # redone step by step, warning and raising as the caller would
