@@ -2,15 +2,18 @@
 
 Subcommands: normalize, region, compare, mintime, verify. Every command
 prints a human-readable summary (matrices and scalars at four significant
-digits) and writes its machine-readable report plus a manifest into
---out-dir. File writes go through a temp file and os.replace, so readers
-never observe partial output.
+digits) and returns its exit code with its outputs, a JSON-ready report or
+text by file name. main alone creates --out-dir, writes the outputs in
+that order and then the manifest that lists them, so a failing command
+writes nothing. File writes go through a temp file and os.replace, so
+readers never observe partial output.
 
 The argument parser is built once per process, on the first call, and
 reused: main may be called repeatedly, and its defaults are immutable.
 
-Exit codes: 0 success, 1 other library failure, 2 bad usage or model
-schema, 3 missing target bounds, 4 singular state matrix, 5 unstable
+Exit codes: 0 success, 1 other library failure, 2 bad usage, model
+schema or numeric argument (such as a non-finite number or a step count
+below 1), 3 missing target bounds, 4 singular state matrix, 5 unstable
 generator growth, 6 state not reachable, 7 verification mismatch.
 
 Set CTRLGAUGE_LOG=DEBUG (or another level name) to enable diagnostics.
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control import compare_ability, min_time, simulate
+from .control import DEFAULT_MAX_STEPS, compare_ability, min_time, simulate
 from .errors import (
     CtrlGaugeError,
     DimensionMismatch,
@@ -66,7 +69,6 @@ class _CliFailure(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 def _setup_logging():
@@ -98,8 +100,8 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n")
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
 
 
 def _write_manifest(out_dir, command, args, outputs):
@@ -111,7 +113,7 @@ def _write_manifest(out_dir, command, args, outputs):
         "version": __version__,
     }
     path = Path(out_dir) / f"{command}_manifest.json"
-    _write_json(path, manifest)
+    _atomic_write(path, _json_text(manifest))
     return path
 
 
@@ -127,6 +129,8 @@ def _parse_floats(text):
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("empty number list")
+    if not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"non-finite number in {text!r}")
     return np.asarray(values)
 
 
@@ -138,6 +142,12 @@ def _parse_steps(text):
     if not steps or steps[0] < 1:
         raise argparse.ArgumentTypeError("steps must be positive integers")
     return tuple(steps)
+
+
+def _parse_step(text):
+    if "," in text:
+        raise argparse.ArgumentTypeError(f"expected one step count, got {text!r}")
+    return _parse_steps(text)[0]
 
 
 def _parse_axes(text):
@@ -163,40 +173,29 @@ def _load(path):
         raise _CliFailure(EXIT_SCHEMA, f"model schema error: {exc}") from None
 
 
-def _normalized(args):
-    system, spec = _load(args.model)
-    use_target = args.mode == "target"
-    return system, spec, normalize_full(system, spec, use_target=use_target)
+def _normalized(path, mode):
+    system, spec = _load(path)
+    return system, spec, normalize_full(system, spec, use_target=mode == "target")
 
 
 def _state_scale(spec, mode):
     return spec.state_target if mode == "target" else spec.state_rated
 
 
-def _out_dir(args):
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_normalize(args):
-    system, _, normed = _normalized(args)
+    system, _, normed = _normalized(args.model, args.mode)
     print(f"system: {system.name}")
     print(f"mode: {args.mode}")
     print("A:")
     print(_fmt_matrix(normed.A))
     print("B:")
     print(_fmt_matrix(normed.B))
-    out = _out_dir(args)
     unit_spec = NormalizationSpec(np.ones(normed.r), np.ones(normed.n))
-    report = out / "normalized_model.json"
-    _write_json(report, model_to_dict(normed, unit_spec))
-    _write_manifest(out, "normalize", args, [report])
-    return EXIT_OK
+    return EXIT_OK, {"normalized_model.json": model_to_dict(normed, unit_spec)}
 
 
 def _cmd_region(args):
-    system, _, normed = _normalized(args)
+    system, _, normed = _normalized(args.model, args.mode)
     kind = RegionKind(args.kind)
     horizon = max(args.steps)
     builder = reach_region if kind is RegionKind.REACH else recover_region
@@ -213,43 +212,32 @@ def _cmd_region(args):
         count = summary["vertexCountByStage"][k - 1]
         shown = "n/a" if count is None else count  # None past the count budget
         print(f"stage {k}: volume {vol:.4g}, vertices {shown}")
-    out = _out_dir(args)
-    outputs = []
     if args.format == "json":
-        path = out / "region_report.json"
-        _write_json(path, summary)
-        outputs.append(path)
-    else:
-        if normed.n < 2:
-            raise _CliFailure(
-                EXIT_SCHEMA, "csv/svg output needs at least two state dimensions"
-            )
-        axes = args.project if args.project is not None else (0, 1)
-        if max(axes) >= normed.n:
-            raise _CliFailure(
-                EXIT_SCHEMA,
-                f"projection axes out of range for state dimension {normed.n}",
-            )
-        polys = [family.stage(k).project_2d(axes) for k in args.steps]
-        tag = f"x{axes[0] + 1}x{axes[1] + 1}"
-        if args.format == "csv":
-            for k, poly in zip(args.steps, polys):
-                path = out / f"region_step{k}_{tag}.csv"
-                _atomic_write(path, polygon_to_csv(poly))
-                outputs.append(path)
-        else:
-            labels = [f"{kind.value} k={k}" for k in args.steps]
-            path = out / f"region_{tag}.svg"
-            _atomic_write(path, svg_document(polys, labels=labels))
-            outputs.append(path)
-    outputs.append(_write_manifest(out, "region", args, outputs))
-    return EXIT_OK
+        return EXIT_OK, {"region_report.json": summary}
+    if normed.n < 2:
+        raise _CliFailure(
+            EXIT_SCHEMA, "csv/svg output needs at least two state dimensions"
+        )
+    axes = args.project if args.project is not None else (0, 1)
+    if max(axes) >= normed.n:
+        raise _CliFailure(
+            EXIT_SCHEMA,
+            f"projection axes out of range for state dimension {normed.n}",
+        )
+    polys = [family.stage(k).project_2d(axes) for k in args.steps]
+    tag = f"x{axes[0] + 1}x{axes[1] + 1}"
+    if args.format == "csv":
+        return EXIT_OK, {
+            f"region_step{k}_{tag}.csv": polygon_to_csv(poly)
+            for k, poly in zip(args.steps, polys)
+        }
+    labels = [f"{kind.value} k={k}" for k in args.steps]
+    return EXIT_OK, {f"region_{tag}.svg": svg_document(polys, labels=labels)}
 
 
 def _cmd_compare(args):
-    system_a, _, normed_a = _normalized(args)
-    args_b = argparse.Namespace(model=args.model_b, mode=args.mode)
-    system_b, _, normed_b = _normalized(args_b)
+    system_a, _, normed_a = _normalized(args.model, args.mode)
+    system_b, _, normed_b = _normalized(args.model_b, args.mode)
     kind = RegionKind(args.kind)
     horizon = max(args.steps)
     verdict = compare_ability(normed_a, normed_b, horizon, kind=kind)
@@ -261,15 +249,11 @@ def _cmd_compare(args):
     report["modelA"] = system_a.name
     report["modelB"] = system_b.name
     report["mode"] = args.mode
-    out = _out_dir(args)
-    path = out / "compare_report.json"
-    _write_json(path, report)
-    _write_manifest(out, "compare", args, [path])
-    return EXIT_OK
+    return EXIT_OK, {"compare_report.json": report}
 
 
 def _cmd_mintime(args):
-    system, spec, normed = _normalized(args)
+    system, spec, normed = _normalized(args.model, args.mode)
     if args.x0.size != system.n:
         raise _CliFailure(
             EXIT_SCHEMA, f"--x0 must have {system.n} entries, got {args.x0.size}"
@@ -300,15 +284,14 @@ def _cmd_mintime(args):
     report["finalStateNormalized"] = trajectory[-1].tolist()
     report["finalStatePhysical"] = (trajectory[-1] * scale).tolist()
     report["replayError"] = replay_error
-    out = _out_dir(args)
-    path = out / "mintime_report.json"
-    _write_json(path, report)
-    _write_manifest(out, "mintime", args, [path])
-    return EXIT_OK
+    return EXIT_OK, {"mintime_report.json": report}
 
 
 def _cmd_verify(args):
-    cfg = OracleConfig(seed=args.seed, mc_samples=args.samples)
+    try:
+        cfg = OracleConfig(seed=args.seed, mc_samples=args.samples)
+    except ValueError as exc:
+        raise _CliFailure(EXIT_SCHEMA, str(exc)) from None
     report = verification_suite(cfg)
     for check in report["checks"]:
         print(
@@ -316,11 +299,8 @@ def _cmd_verify(args):
             f"(discrepancy {check['discrepancy']:.4g})"
         )
     print("result: " + ("pass" if report["passed"] else "FAIL"))
-    out = _out_dir(args)
-    path = out / "verify_report.json"
-    _write_json(path, report)
-    _write_manifest(out, "verify", args, [path])
-    return EXIT_OK if report["passed"] else EXIT_MISMATCH
+    code = EXIT_OK if report["passed"] else EXIT_MISMATCH
+    return code, {"verify_report.json": report}
 
 
 @functools.cache
@@ -337,25 +317,25 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument(
-            "--mode",
-            choices=("rated", "target"),
-            default="rated",
-            help="which state bounds normalize the model",
-        )
+    def command(name, func, summary, *, model=True, kind=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if model:
+            p.add_argument("--model", required=True, help="model JSON file")
+            p.add_argument(
+                "--mode",
+                choices=("rated", "target"),
+                default="rated",
+                help="which state bounds normalize the model",
+            )
         p.add_argument("--out-dir", default=".", help="directory for reports")
+        if kind:
+            p.add_argument("--kind", choices=("reach", "recover"), default="reach")
+        return p
 
-    norm = sub.add_parser("normalize", help="per-unit normalize a model")
-    add_common(norm)
-    norm.set_defaults(func=_cmd_normalize)
+    command("normalize", _cmd_normalize, "per-unit normalize a model", kind=False)
 
-    region = sub.add_parser("region", help="build and export stage regions")
-    add_common(region)
-    region.add_argument(
-        "--kind", choices=("reach", "recover"), default="reach"
-    )
+    region = command("region", _cmd_region, "build and export stage regions")
     region.add_argument(
         "--steps",
         type=_parse_steps,
@@ -371,42 +351,33 @@ def _build_parser():
     region.add_argument(
         "--format", choices=("json", "csv", "svg"), default="json"
     )
-    region.set_defaults(func=_cmd_region)
 
-    compare = sub.add_parser("compare", help="compare two systems' regions")
-    add_common(compare)
+    compare = command("compare", _cmd_compare, "compare two systems' regions")
     compare.add_argument("--model-b", required=True, help="second model JSON file")
-    compare.add_argument(
-        "--kind", choices=("reach", "recover"), default="reach"
-    )
     compare.add_argument(
         "--steps", type=_parse_steps, default=(10,), help="horizon (largest used)"
     )
-    compare.set_defaults(func=_cmd_compare)
 
-    mintime = sub.add_parser(
-        "mintime", help="minimum steps to reach or recover a state"
+    mintime = command(
+        "mintime", _cmd_mintime, "minimum steps to reach or recover a state"
     )
-    add_common(mintime)
     mintime.add_argument(
         "--x0",
         type=_parse_floats,
         required=True,
         help="target state in physical units, comma-separated",
     )
-    mintime.add_argument(
-        "--kind", choices=("reach", "recover"), default="reach"
-    )
-    mintime.add_argument("--max-steps", type=int, default=50)
-    mintime.set_defaults(func=_cmd_mintime)
+    mintime.add_argument("--max-steps", type=_parse_step, default=DEFAULT_MAX_STEPS)
 
-    verify = sub.add_parser(
-        "verify", help="re-run the built-in oracle cross-checks"
+    verify = command(
+        "verify",
+        _cmd_verify,
+        "re-run the built-in oracle cross-checks",
+        model=False,
+        kind=False,
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--samples", type=int, default=1_000_000)
-    verify.add_argument("--out-dir", default=".")
-    verify.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -416,13 +387,20 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, outputs = args.func(args)
     except _CliFailure as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except CtrlGaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in outputs.items():
+        text = content if isinstance(content, str) else _json_text(content)
+        _atomic_write(out / name, text)
+    _write_manifest(out, args.command, args, outputs)
+    return code
 
 
 if __name__ == "__main__":

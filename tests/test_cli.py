@@ -135,15 +135,17 @@ class TestRegion:
         assert doc.count("<path") >= 2
 
     def test_svg_needs_two_dims(self, tmp_path, scalar_model):
+        out = tmp_path / "out"
         code = run_cli(
             [
                 "region",
                 "--model", scalar_model,
                 "--format", "svg",
-                "--out-dir", tmp_path,
+                "--out-dir", out,
             ]
         )
         assert code == 2
+        assert not out.exists()  # a failing command writes nothing
 
     def test_recover_with_singular_a_exits_4(self, tmp_path):
         model = _write_model(
@@ -307,6 +309,26 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--samples", "999"],
+            ["mintime", "--model", DC_MODEL, "--x0", "1,10,1", "--max-steps", "0"],
+            ["mintime", "--model", DC_MODEL, "--x0", "nan,1,1"],
+        ],
+        ids=["samples", "max-steps", "nan-x0"],
+    )
+    def test_exit_2_and_no_out_dir(self, tmp_path, argv):
+        out = tmp_path / "out"
+        try:
+            code = run_cli(argv + ["--out-dir", out])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code == 2
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_version_runs_as_module(self):
         proc = subprocess.run(
@@ -410,6 +432,9 @@ class TestRepeatedCalls:
         assert proc.returncode == 0, proc.stderr
         fresh = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert len(fresh) >= 2  # a report and its manifest
+        manifest = f"{argv[0]}_manifest.json"
+        listed = json.loads(fresh[manifest])["outputs"] + [manifest]
+        assert sorted(listed) == sorted(fresh)
         for _ in range(2):
             for path in tmp_path.iterdir():
                 path.unlink()
