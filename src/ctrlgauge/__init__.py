@@ -88,7 +88,6 @@ from .zonotope import (
     halfspace_representation,
     polygon_area,
     polygon_to_csv,
-    polygon_to_svg,
     svg_document,
 )
 
@@ -153,7 +152,6 @@ __all__ = [
     "normalize_input_only",
     "polygon_area",
     "polygon_to_csv",
-    "polygon_to_svg",
     "reach_region",
     "recover_region",
     "region_summary",

@@ -178,10 +178,6 @@ def _normalized(path, mode):
     return system, spec, normalize_full(system, spec, use_target=mode == "target")
 
 
-def _state_scale(spec, mode):
-    return spec.state_target if mode == "target" else spec.state_rated
-
-
 def _cmd_normalize(args):
     system, _, normed = _normalized(args.model, args.mode)
     print(f"system: {system.name}")
@@ -258,7 +254,7 @@ def _cmd_mintime(args):
         raise _CliFailure(
             EXIT_SCHEMA, f"--x0 must have {system.n} entries, got {args.x0.size}"
         )
-    scale = _state_scale(spec, args.mode)
+    scale = spec.state_target if args.mode == "target" else spec.state_rated
     x_norm = args.x0 / scale
     kind = RegionKind(args.kind)
     solution = min_time(normed, x_norm, kind=kind, max_steps=args.max_steps)

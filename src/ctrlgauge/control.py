@@ -467,42 +467,34 @@ def verify_theorem1(
         extra = samples - verts.shape[0]
         weights = rng.dirichlet(np.ones(verts.shape[0]), size=extra)
         states = np.vstack([verts, weights @ verts])
-    min_time_violations = []
-    dim_violations = []
-    steps_tied = 0
-    dims_tied = 0
-    for x0 in states:
-        sol_a = _min_time(fam_a, x0, kind)
-        sol_b = _min_time(fam_b, x0, kind)
-        if sol_b.min_steps > sol_a.min_steps:
-            min_time_violations.append(
-                {
-                    "x0": x0.tolist(),
-                    "minStepsA": sol_a.min_steps,
-                    "minStepsB": sol_b.min_steps,
-                }
-            )
-        elif sol_b.min_steps == sol_a.min_steps:
-            steps_tied += 1
-        if sol_a.strategy_dim > sol_b.strategy_dim:
-            dim_violations.append(
-                {
-                    "x0": x0.tolist(),
-                    "dimA": sol_a.strategy_dim,
-                    "dimB": sol_b.strategy_dim,
-                }
-            )
-        elif sol_a.strategy_dim == sol_b.strategy_dim:
-            dims_tied += 1
+    answers = [(x0, _min_time(fam_a, x0, kind), _min_time(fam_b, x0, kind)) for x0 in states]
+    min_time_violations = [
+        {
+            "x0": x0.tolist(),
+            "minStepsA": a.min_steps,
+            "minStepsB": b.min_steps,
+        }
+        for x0, a, b in answers
+        if b.min_steps > a.min_steps
+    ]
+    dim_violations = [
+        {
+            "x0": x0.tolist(),
+            "dimA": a.strategy_dim,
+            "dimB": b.strategy_dim,
+        }
+        for x0, a, b in answers
+        if a.strategy_dim > b.strategy_dim
+    ]
     summary = {
-        "stepsTied": steps_tied,
-        "stepsStrictlyFewerB": len(states) - steps_tied - len(min_time_violations),
-        "dimsTied": dims_tied,
-        "dimsStrictlyMoreB": len(states) - dims_tied - len(dim_violations),
+        "stepsTied": sum(b.min_steps == a.min_steps for _, a, b in answers),
+        "stepsStrictlyFewerB": sum(b.min_steps < a.min_steps for _, a, b in answers),
+        "dimsTied": sum(b.strategy_dim == a.strategy_dim for _, a, b in answers),
+        "dimsStrictlyMoreB": sum(b.strategy_dim > a.strategy_dim for _, a, b in answers),
     }
     return TheoremReport(
         horizon=horizon,
-        kind=kind.value if hasattr(kind, "value") else str(kind),
+        kind=kind.value,
         samples=int(states.shape[0]),
         seed=int(seed),
         checked=int(states.shape[0]),

@@ -354,21 +354,16 @@ def _check_axes(axes, n):
     return (i, j)
 
 
-def _canonical_flip(pgens):
-    """Flip 2-D rows into the upper half-plane; returns (flipped, signs).
+def _angles(pgens):
+    """Angles in [0, pi] of 2-D rows flipped into the upper half-plane, and
+    the flips (+-1).
 
     A row with |y| <= TIE_TOL |x| counts as lying on the x axis, so that
     rounding cannot split parallel rows between the angles 0 and pi.
     """
     x, y = pgens[..., 0], pgens[..., 1]
     flip = np.copysign(1.0, np.where(np.abs(y) <= TIE_TOL * np.abs(x), x, y))
-    return pgens * flip[..., np.newaxis], flip
-
-
-def _angles(pgens):
-    """Angles in [0, pi] of the flipped rows (_canonical_flip), and the flips."""
-    canon, flip = _canonical_flip(pgens)
-    return np.arctan2(canon[..., 1], canon[..., 0]), flip
+    return np.arctan2(y * flip, x * flip), flip
 
 
 def _planar_cells(pgens):
@@ -543,7 +538,8 @@ def _subset_rows(subsets, take, n):
 @lru_cache(maxsize=64)
 def _subset_table(m, n):
     """Every n-subset of range(m) in combinations order, read-only; for
-    _det_sums, which builds it only when it fits in one chunk."""
+    _det_sums, which builds it only when it fits in one chunk, and for
+    _facet_normals, whose m the normal cap holds to MAX_GENERATORS."""
     table = _subset_rows(itertools.combinations(range(m), n), math.comb(m, n), n)
     table.flags.writeable = False
     return table
@@ -608,14 +604,6 @@ def _prefix_counts(G, spans):
     return [1] + counts.tolist() + [None] * (m - p)
 
 
-def _region_counts(P, mask):
-    """Regions of the arrangement of the hyperplanes g-perp of the rows g of
-    P[b] under mask[b], for every batch index b of P (..., k, d), d >= 2."""
-    if P.shape[-1] == 2:
-        return _class_counts(_angles(P)[0], mask)
-    return 1 + _additions(P, mask).sum(axis=-1)
-
-
 def _class_counts(ang, mask):
     """Twice the angle classes of the masked rows, as _planar_cells
     groups them (sorted angles more than TIE_TOL apart), or 1 for none."""
@@ -629,9 +617,15 @@ def _class_counts(ang, mask):
 
 def _additions(P, mask, rows=slice(None)):
     """Regions each row of P[..., rows, :] adds to the arrangement of the
-    masked rows before it, for P (..., k, d), d >= 3 (_restrict)."""
+    masked rows before it, for P (..., k, d), d >= 3: a new row adds the
+    regions of the rows it keeps, restricted to its hyperplane (_restrict),
+    in the plane twice their angle classes, above it 1 plus their additions."""
     _, proj, kept, new = _restrict(P, mask, rows)
-    return np.where(new, _region_counts(proj, kept), 0)
+    if proj.shape[-1] == 2:
+        counts = _class_counts(_angles(proj)[0], kept)
+    else:
+        counts = 1 + _additions(proj, kept).sum(axis=-1)
+    return np.where(new, counts, 0)
 
 
 def _restrict(P, mask, rows=slice(None)):
@@ -786,8 +780,7 @@ def _facet_normals(gens):
         nd = np.linalg.norm(d, axis=1)
         normals = d[nd > TIE_TOL] / nd[nd > TIE_TOL, np.newaxis]
     else:
-        subsets = np.array(list(itertools.combinations(range(m), n - 1)))
-        _, s, vt = np.linalg.svd(unit[subsets], full_matrices=True)
+        _, s, vt = np.linalg.svd(unit[_subset_table(m, n - 1)], full_matrices=True)
         normals = vt[s[:, -1] > TIE_TOL * s[:, 0], -1]
     if not len(normals):
         raise DegenerateZonotope("no facet normals found")
@@ -881,7 +874,3 @@ def svg_document(polygons, labels=None):
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def polygon_to_svg(poly, label=None):
-    return svg_document([poly], labels=[label] if label else None)

@@ -109,6 +109,14 @@ class TestBruteVertices:
                 z = Zonotope(gens)
                 assert_vertex_sets_match(z.vertices(), brute_vertices(z))
 
+    def test_sign_sums_past_16_generators(self, rng):
+        # the sums of the generators past the 16th are added chunk by chunk;
+        # 17 in general position in R^3 give 2 (1 + 16 + C(16, 2)) vertices
+        z = Zonotope(rng.uniform(-1, 1, size=(17, 3)))
+        want = z.vertices()
+        assert want.shape[0] == 274
+        assert_vertex_sets_match(brute_vertices(z), want)
+
     def test_planar_hull_drops_edge_midpoints(self):
         # after the SVD rotation the three sums on each of two edges tie in x
         # only up to rounding, and the hull chain may start at the midpoint

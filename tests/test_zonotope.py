@@ -878,6 +878,13 @@ class TestExports:
         assert doc.count("<path") >= 2
         assert "</svg>" in doc
 
+    def test_svg_draws_a_point_as_a_circle(self):
+        point = Zonotope(np.array([[0.0, 0.0, 1.0]])).project_2d((0, 1))
+        assert point.points.shape == (1, 2)
+        doc = svg_document([point], labels=["origin"])
+        assert doc.count("<circle") == 1 and "<path" not in doc
+        assert "<title>origin</title></circle>" in doc
+
     def test_svg_handles_degenerate(self):
         seg = Polygon2D(points=np.array([[-1.0, 0.0], [1.0, 0.0]]), degenerate=True)
         doc = svg_document([seg])
