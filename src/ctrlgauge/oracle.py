@@ -3,8 +3,9 @@
 Everything here recomputes results by deliberately different means: vertex
 sets by exhaustive sign enumeration with a convex-hull filter, volumes by
 Monte Carlo box sampling against a freshly built half-space form, and
-minimum step counts by sweeping horizons with point-cloud hull containment.
-None of it reuses the geometry routines under test.
+minimum step counts by sweeping horizons, each decided by its bounding box
+(outside), a replayed least-squares input (inside) or else point-cloud hull
+containment. None of it reuses the geometry routines under test.
 
 Randomness comes from a counter-based SplitMix64 stream so every draw is
 reproducible from (seed, index) alone, independent of numpy's generator
@@ -386,10 +387,11 @@ def _hull_contains(pts, x, tol=1e-9):
 def exhaustive_min_time(sys, x0, kind="reach", max_steps=50, cfg=None):
     """Smallest horizon whose region contains x0, by brute enumeration.
 
-    Builds generator blocks step by step with its own matrix powers and
-    tests containment of x0 in the hull of all signed sums. Raises
-    NotReachable past max_steps and TooManyGenerators when a horizon
-    would exceed the sign budget.
+    Builds generator blocks step by step with its own matrix powers. Each
+    horizon is decided by its bounding box (x0 outside it is outside), a
+    least-squares input with |u| <= 1 that replays to x0 (inside), or else
+    the hull of all signed sums. Raises NotReachable past max_steps and
+    TooManyGenerators when a horizon would exceed the sign budget.
     """
     cfg = cfg or OracleConfig()
     kind_value = getattr(kind, "value", kind)
@@ -418,6 +420,12 @@ def exhaustive_min_time(sys, x0, kind="reach", max_steps=50, cfg=None):
                 f"horizon {step} needs {rows.shape[0]} sign bits, budget is "
                 f"{cfg.max_sign_bits}"
             )
+        if np.any(np.abs(x) > np.abs(rows).sum(axis=0) + 1e-9):
+            continue  # outside the stage's bounding box
+        u = np.linalg.lstsq(rows.T, x, rcond=None)[0]
+        replay = float(np.abs(rows.T @ u - x).max())
+        if float(np.abs(u).max()) <= 1.0 and replay <= 1e-12 * max(1.0, np.abs(x).max()):
+            return step  # a replayed input in the box
         if _hull_contains(_sign_sums(rows), x):
             return step
     raise NotReachable(

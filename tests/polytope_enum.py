@@ -39,6 +39,12 @@ BACKWARD = 16
 EPS = float(np.finfo(float).eps)
 
 
+def live_generators(norms):
+    """Generators above rounding level, by their norms in stage order: a
+    norm counts when above LIVE_TOL times the largest so far (or 1)."""
+    return norms > LIVE_TOL * np.maximum(1.0, np.maximum.accumulate(norms))
+
+
 def _rank(M):
     if M.size == 0:
         return 0
@@ -121,7 +127,7 @@ def affine_dim(G, x0, lower=None, upper=None):
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     norms = np.linalg.norm(G, axis=0)
-    live = norms > LIVE_TOL * np.maximum(1.0, np.maximum.accumulate(norms))
+    live = live_generators(norms)
     spill = float(norms[~live].sum())
     verts = polytope_vertices(np.where(live, G, 0.0), x0, lower, upper, spill)
     if verts.shape[0] == 0:

@@ -39,7 +39,7 @@ from ctrlgauge import control, lp, zonotope
 from ctrlgauge.control import EPS, _descend, _family, _stage_gauges
 from ctrlgauge.errors import CtrlGaugeError, InternalError, SingularA, UnstableGrowth
 from ctrlgauge.zonotope import GAUGE_TOL, _spans
-from polytope_enum import _rank, affine_dim
+from polytope_enum import _rank, affine_dim, live_generators
 
 
 def _brute_contained(fam_inner, fam_outer):
@@ -687,16 +687,18 @@ class TestStrategySpaceDim:
 
 
 def _lp_sweep_dim(rows, x):
-    """Strategy dimension from the 2m-LP range sweep, as a reference; the
-    free rows are ranked as affine_dim ranks, so rounding-level rows count
-    as zero."""
+    """Strategy dimension from the 2m-LP range sweep, as a reference. Only
+    the free rows above rounding level are ranked, by the span rule that
+    affine_dim and the package apply (1e-12 times the largest row norm so
+    far, or 1)."""
     m = rows.shape[0]
     free = np.zeros(m, dtype=bool)
     for j in range(m):
         box = BoxLp(G=rows.T, x0=x, lower=-np.ones(m), upper=np.ones(m),
                     objective=np.eye(m)[j])
         free[j] = lp_optimize(box, "max").value - lp_optimize(box, "min").value > 1e-9
-    return int(free.sum()) - (_rank(rows[free]) if free.any() else 0)
+    live = live_generators(np.linalg.norm(rows, axis=1))
+    return int(free.sum()) - _rank(rows[free & live])
 
 
 def _lp_sweep_dim_or_reject(rows, x):
@@ -862,6 +864,10 @@ class TestFaceDescent:
              where="interior")
     @example(seed=151574, n=2, r=1, horizon=5, recover=True, style="plain",
              where="vertex")
+    # five free rows from 2.6e-14 to 5.4e-9 beside rows up to 1.3e6: none is
+    # above the span rule's zero, so none may add to the reference's rank
+    @example(seed=154040842, n=3, r=1, horizon=5, recover=True, style="rounding",
+             where="edge")
     def test_property_matches_lp(self, seed, n, r, horizon, recover, style, where):
         rng = np.random.default_rng(seed)
         if style == "flat" and n == 2:

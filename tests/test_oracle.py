@@ -28,7 +28,12 @@ from ctrlgauge import (
     vertex_set_distance,
 )
 from ctrlgauge import oracle
-from ctrlgauge.oracle import _hull2d_indices, _lexsorted_unique, _sign_sums
+from ctrlgauge.oracle import (
+    _hull2d_indices,
+    _hull_contains,
+    _lexsorted_unique,
+    _sign_sums,
+)
 
 MASK = (1 << 64) - 1
 
@@ -293,6 +298,64 @@ class TestMcVolume:
         }
 
 
+def _stages(sys_, kind, steps):
+    """Each horizon's generator rows, built as the oracle builds them."""
+    M, blocks = sys_.B.copy(), []
+    for step in range(1, steps + 1):
+        if kind == "recover":
+            M = np.linalg.solve(sys_.A, M)
+        elif step > 1:
+            M = sys_.A @ M
+        blocks.append(M.T.copy())
+        yield np.vstack(blocks)
+
+
+def _hull_only_min_time(sys_, x, kind, max_steps):
+    """The horizon sweep with the hull of all sign sums deciding every
+    horizon; None where no horizon up to max_steps holds x."""
+    for step, rows in enumerate(_stages(sys_, kind, max_steps), start=1):
+        if _hull_contains(_sign_sums(rows), x):
+            return step
+    return None
+
+
+def _stage_state(rng, rows, where):
+    """An interior state, a vertex, or a vertex scaled out by 1.02."""
+    if where == "interior":
+        return rows.T @ rng.uniform(-1.0, 1.0, size=rows.shape[0])
+    d = rng.standard_normal(rows.shape[1])
+    x = rows.T @ np.where(rows @ d >= 0.0, 1.0, -1.0)
+    return 1.02 * x if where == "outside" else x
+
+
+def _parity_draws(count, seed=3):
+    """Seeded (system, kind, state) draws: n = 1..3, r = 1..2, reach or
+    (where |det A| >= 0.1) recover, states of stages 1..5."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, r = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        sys_ = make_system(rng, n, r)
+        recover = rng.random() < 0.5 and abs(np.linalg.det(sys_.A)) >= 0.1
+        kind = "recover" if recover else "reach"
+        rows = list(_stages(sys_, kind, int(rng.integers(1, 6))))[-1]
+        where = ("interior", "vertex", "outside")[i % 3]
+        yield sys_, kind, _stage_state(rng, rows, where)
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """(sign sums, answer) of every hull test the oracle makes."""
+    calls = []
+
+    def counted(pts, x, tol=1e-9):
+        inside = _hull_contains(pts, x, tol)
+        calls.append((pts.shape[0], inside))
+        return inside
+
+    monkeypatch.setattr(oracle, "_hull_contains", counted)
+    return calls
+
+
 class TestExhaustiveMinTime:
     @pytest.mark.parametrize("x0", [0.5, 1.0, 2.3, -3.0, 4.0])
     def test_scalar_chain(self, x0):
@@ -319,6 +382,62 @@ class TestExhaustiveMinTime:
             assert exhaustive_min_time(sys_, x0, max_steps=8) == min_time(
                 sys_, x0, max_steps=8
             ).min_steps
+
+    def test_matches_the_hull_alone(self):
+        # the box and the witness decide no horizon otherwise than the hull
+        mismatches, unreachable = [], 0
+        for i, (sys_, kind, x) in enumerate(_parity_draws(240)):
+            steps = 10 // sys_.r  # at most 2^10 sign sums
+            want = _hull_only_min_time(sys_, x, kind, steps)
+            try:
+                got = exhaustive_min_time(sys_, x, kind=kind, max_steps=steps)
+            except NotReachable:
+                got = None
+            unreachable += want is None
+            if got != want:
+                mismatches.append((i, got, want))
+        assert mismatches == []
+        assert unreachable > 0
+
+    def test_far_state_skips_every_hull(self, hull_calls):
+        # outside every stage's box, up to the horizon past the sign budget
+        far = LdtSystem("far", 0.5 * np.eye(2), [[1.0], [0.5]])
+        with pytest.raises(TooManyGenerators, match="horizon 21 needs 21 sign bits"):
+            exhaustive_min_time(far, [100.0, 100.0], max_steps=30)
+        assert hull_calls == []
+
+    def test_interior_state_settled_by_the_witness(self, hull_calls):
+        rng = np.random.default_rng(8)
+        sys_ = make_system(rng, 2)
+        rows = list(_stages(sys_, "reach", 3))[-1]
+        x = rows.T @ rng.uniform(-0.3, 0.3, size=3)
+        got = exhaustive_min_time(sys_, x, max_steps=8)
+        assert got == _hull_only_min_time(sys_, x, "reach", 8)
+        # every hull test answered no: the witness returned the step
+        assert not any(inside for _, inside in hull_calls)
+
+    def test_vertex_state_reaches_the_hull(self, hull_calls):
+        rng = np.random.default_rng(8)
+        sys_ = make_system(rng, 2)
+        rows = list(_stages(sys_, "reach", 4))[-1]
+        x = _stage_state(rng, rows, "vertex")
+        assert exhaustive_min_time(sys_, x, max_steps=8) == 4
+        assert hull_calls[-1] == (2**4, True)
+
+
+class TestHullVolume:
+    # a second volume route, kept out of verification_suite: the hull of
+    # the brute-force vertices against the determinant sum
+    @pytest.mark.parametrize("n, r, steps", [(2, 2, 3), (2, 1, 6), (3, 2, 3), (3, 1, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_determinant_volume(self, n, r, steps, seed):
+        from scipy.spatial import ConvexHull
+
+        sys_ = make_system(np.random.default_rng(100 * n + seed), n, r)
+        z = Zonotope(list(_stages(sys_, "reach", steps))[-1])
+        assert z.rank() == n
+        want = z.volume()
+        assert ConvexHull(brute_vertices(z)).volume == pytest.approx(want, rel=1e-9)
 
 
 class TestVerificationSuite:
